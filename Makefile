@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short bench bench-attack check smoke fuzz
+.PHONY: all build vet test race race-short bench check smoke fuzz
 
 all: check
 
@@ -26,12 +26,6 @@ race-short:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-
-# Machine-readable attack benchmark: runs BenchmarkAttack and writes
-# BENCH_attack.json (name, ns/op, workers, host cores) for cross-host
-# speedup comparisons.
-bench-attack:
-	GO="$(GO)" ./scripts/bench.sh
 
 # End-to-end crash-recovery smoke: tracegen -> kill -> resume -> attack
 # (byte-identical resume, quarantined recovery, exit codes).

@@ -72,7 +72,6 @@ func main() {
 	resync := flag.Int("resync", 0, "re-align traces by cross-correlation within ± this many samples (0 = off)")
 	winsorize := flag.Float64("winsorize", 0, "clamp samples to mean ± this many sigmas per sample point before correlating (0 = off)")
 	workers := flag.Int("workers", 0, "parallel attack workers (0 = GOMAXPROCS); recovered key and checkpoints are bit-identical for any value")
-	kernel := flag.String("kernel", "", "CPA execution kernel: scalar (default), blocked (tiled batch updates), or fixed (int64 accumulation on quantized corpora); recovered key and checkpoints are bit-identical for all three")
 	keyOut := flag.String("key", "", "also dump the recovered (f, g) pair as canonical JSON to this path (byte-comparable with the campaign server's key endpoint)")
 	clusterURLs := flag.String("cluster", "", "comma-separated clusterd worker URLs; corpus sweeps fan out to the fleet, falling back to local compute if it dies (result is byte-identical either way)")
 	clusterCorpus := flag.String("cluster-corpus", "", "corpus name as the workers resolve it under their -root (default: the -traces path)")
@@ -119,15 +118,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "attack: bad -workers:", err)
 		exit(exitGeneric)
 	}
-	kern, err := core.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "attack: bad -kernel:", err)
-		exit(exitGeneric)
-	}
 	cfg := core.Config{
 		Robust:  core.RobustConfig{TrimSigmas: *trim, ResyncShift: *resync, Winsorize: *winsorize},
 		Workers: w,
-		Kernel:  kern,
 	}
 	var dist core.Distributor
 	var coord *cluster.Coordinator
@@ -140,7 +133,6 @@ func main() {
 			Workers:    strings.Split(*clusterURLs, ","),
 			Corpus:     corpus,
 			CrossCheck: *crossCheck,
-			Kernel:     *kernel,
 		}
 		if *blobAddr != "" {
 			url, err := serveBlobs(*blobAddr, *tracePath)

@@ -27,14 +27,12 @@ import (
 	"time"
 
 	"falcondown/internal/cluster"
-	"falcondown/internal/core"
 	"falcondown/internal/obs"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9100", "listen address")
 	root := flag.String("root", "", "directory corpus names resolve under (required; created if missing — a diskless worker starts empty and pulls shards from the coordinator's blob service)")
-	kernel := flag.String("kernel", "", "CPA execution kernel for tasks that don't name one: scalar (default), blocked, or fixed — results are byte-identical for all three")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints expose process internals)")
 	verbose := flag.Bool("v", false, "verbose logging (debug level)")
 	quiet := flag.Bool("q", false, "quiet logging (warnings and errors only)")
@@ -56,22 +54,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	kern, err := core.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterd: %v\n", err)
-		os.Exit(2)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Errorf("%v", err)
 		os.Exit(1)
 	}
-	logger.Infof("serving corpora under %s on %s (kernel %s)", *root, ln.Addr(), kern)
+	logger.Infof("serving corpora under %s on %s", *root, ln.Addr())
 	mux := http.NewServeMux()
 	obs.Default().Mount(mux, "clusterd", *pprofOn)
 	w := cluster.NewWorker(*root)
-	w.Kernel = kern
 	mux.Handle("/", w.Handler())
 	if *pprofOn {
 		logger.Infof("pprof mounted at /debug/pprof/")

@@ -131,12 +131,18 @@ func (c *Campaign) Events(after int) []Event {
 	return c.log.Since(after)
 }
 
-// WaitEvents blocks until at least one event past after exists or the
-// context ends, then returns whatever is available (possibly empty on
-// timeout) — the long-poll primitive behind GET /campaigns/{id}/events.
+// WaitEvents blocks until at least one event past after exists, the
+// event log closes or the context ends, then returns whatever is
+// available (possibly empty) — the long-poll primitive behind
+// GET /campaigns/{id}/events.
 func (c *Campaign) WaitEvents(ctx context.Context, after int) []Event {
 	return c.log.Wait(ctx, after)
 }
+
+// EventsClosed reports whether the campaign's event log is complete: the
+// campaign is terminal and its terminal event, if it emits one here, is
+// in. A campaign found terminal on disk at Open starts closed.
+func (c *Campaign) EventsClosed() bool { return c.log.isClosed() }
 
 // state is the persisted slice of the runtime state (state.json); the
 // spec is stored separately so state rewrites stay small and the spec

@@ -67,7 +67,7 @@ func TestCancelQueuedCampaignFreesQuota(t *testing.T) {
 	// A cancelled queue entry is dropped, not run: start the server and
 	// confirm the campaign never leaves its terminal state.
 	srv.Start()
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 	time.Sleep(50 * time.Millisecond)
 	if c, _ := srv.Get(snap.ID); c.Status() != StatusCancelled {
 		t.Fatalf("cancelled campaign went %q after Start", c.Status())
@@ -81,7 +81,7 @@ func TestCancelRunningCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -126,6 +126,7 @@ func TestCancelRunningCampaign(t *testing.T) {
 		t.Fatalf("no %q event in %+v", EventCancelled, c.Events(0))
 	}
 	srv.Kill()
+	stopServer(t, srv)
 	srv2, err := Open(root, Config{})
 	if err != nil {
 		t.Fatal(err)

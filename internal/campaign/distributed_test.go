@@ -31,7 +31,7 @@ func TestDistributedCampaignBytesIdenticalToLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.Start()
-		defer srv.Kill()
+		killAtCleanup(t, srv)
 		spec := e2eSpec()
 		spec.Distributed = distributed
 		c, err := srv.Submit(spec)
@@ -88,7 +88,7 @@ func TestDistributedSpecWithoutFleetRunsLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 	spec := e2eSpec()
 	spec.Distributed = true
 	c, err := srv.Submit(spec)

@@ -52,11 +52,13 @@ type fleetReporter interface {
 }
 
 // eventLog is an append-only in-memory progress log with broadcast
-// wake-ups for long-polling readers.
+// wake-ups for long-polling readers. It is closed once the campaign is
+// terminal and its terminal event is in: nothing is appended after that.
 type eventLog struct {
 	mu     sync.Mutex
 	events []Event
 	wake   chan struct{}
+	closed bool
 }
 
 func newEventLog() *eventLog {
@@ -74,6 +76,24 @@ func (l *eventLog) append(e Event) {
 	l.mu.Unlock()
 }
 
+// close marks the log complete and wakes every waiting long-poller.
+func (l *eventLog) close() {
+	l.mu.Lock()
+	if !l.closed {
+		l.closed = true
+		close(l.wake)
+		l.wake = make(chan struct{})
+	}
+	l.mu.Unlock()
+}
+
+// isClosed reports whether the log is complete.
+func (l *eventLog) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
+}
+
 // Since returns the events with sequence numbers greater than after.
 func (l *eventLog) Since(after int) []Event {
 	l.mu.Lock()
@@ -89,8 +109,8 @@ func (l *eventLog) Since(after int) []Event {
 	return out
 }
 
-// Wait blocks until an event past after exists or ctx ends, then returns
-// what is available.
+// Wait blocks until an event past after exists, the log closes or ctx
+// ends, then returns what is available.
 func (l *eventLog) Wait(ctx context.Context, after int) []Event {
 	for {
 		l.mu.Lock()
@@ -99,6 +119,10 @@ func (l *eventLog) Wait(ctx context.Context, after int) []Event {
 			copy(out, l.events[after:])
 			l.mu.Unlock()
 			return out
+		}
+		if l.closed {
+			l.mu.Unlock()
+			return nil
 		}
 		wake := l.wake
 		l.mu.Unlock()

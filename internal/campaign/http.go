@@ -152,12 +152,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.streamEvents(w, r, c, after)
 		return
 	}
-	// A terminal campaign appends no further events, so blocking would
-	// only run the poll timeout down — answer immediately instead. The
+	// A closed event log takes no further events, so blocking would only
+	// run the poll timeout down — answer immediately instead. A terminal
+	// campaign whose terminal event is still to come (it is appended
+	// after the flight record) is waited for like a running one. The
 	// status is re-read after any wait so a poller that was woken by the
 	// final event sees the terminal status in the same response.
 	var events []Event
-	if v := r.URL.Query().Get("wait"); v != "" && !terminal(c.Status()) {
+	if v := r.URL.Query().Get("wait"); v != "" && !c.EventsClosed() {
 		secs, err := strconv.Atoi(v)
 		if err != nil || secs < 0 {
 			writeError(w, http.StatusBadRequest, "wait must be a non-negative integer (seconds)")
@@ -205,14 +207,10 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, c *Campaig
 		}
 	}
 	for {
+		closed := c.EventsClosed()
 		emit(c.Events(after))
-		if terminal(c.Status()) {
-			// The status flips terminal just before the terminal event is
-			// appended; one bounded wait closes the stream complete
-			// instead of torn.
-			ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-			emit(c.WaitEvents(ctx, after))
-			cancel()
+		if closed {
+			// Every event is out, the terminal one included.
 			fmt.Fprintf(w, "event: end\ndata: %q\n\n", c.Status())
 			fl.Flush()
 			return

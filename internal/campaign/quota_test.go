@@ -17,7 +17,7 @@ func TestTenantDiskQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 
 	first, err := srv.Submit(spec)
 	if err != nil {
@@ -84,12 +84,13 @@ func TestTenantDiskQuotaSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Kill()
+	stopServer(t, srv)
 
 	srv2, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Kill()
+	killAtCleanup(t, srv2)
 	want := dirBytes(srv2.Store().Dir(c.ID))
 	if want == 0 {
 		t.Fatal("queued campaign left nothing on disk")

@@ -42,6 +42,16 @@ func stopServer(t *testing.T, srv *Server) {
 	}
 }
 
+// killAtCleanup hard-kills srv when the test ends and then waits for its
+// slot goroutines, so none of them still writes into the test's TempDir
+// (a flight record, a last state file) when that directory is removed.
+func killAtCleanup(t *testing.T, srv *Server) {
+	t.Cleanup(func() {
+		srv.Kill()
+		stopServer(t, srv)
+	})
+}
+
 // campaignArtifacts are the files whose bytes define a campaign's outcome.
 // The checkpoint sidecar is the heart of the contract: an interrupted
 // campaign must finish with a sidecar byte-identical to an uninterrupted

@@ -89,7 +89,10 @@ func (h *testHooks) set(acquire func(string, int), phase func(string, string)) {
 }
 
 // runCampaign drives one campaign to a terminal state (or to the point
-// where the server was stopped/killed, leaving it re-adoptable).
+// where the server was stopped/killed, leaving it re-adoptable). The
+// terminal event is its last act: it is appended only after the flight
+// record and the final disk settlement, so a client that sees "done",
+// "failed" or "cancelled" finds every file of the campaign in place.
 func (s *Server) runCampaign(c *Campaign) {
 	if s.runCtx.Err() != nil {
 		return
@@ -104,6 +107,7 @@ func (s *Server) runCampaign(c *Campaign) {
 	}
 	mActive.Add(1)
 	wall := obs.StartSpan(mWall)
+	var final []Event
 	defer func() {
 		mActive.Add(-1)
 		wall.End()
@@ -121,9 +125,16 @@ func (s *Server) runCampaign(c *Campaign) {
 		if terminal(c.Status()) {
 			s.settleDisk(c)
 		}
+		for _, e := range final {
+			c.log.append(e)
+		}
+		if terminal(c.Status()) {
+			c.log.close()
+		}
 	}()
-	err := s.execute(ctx, c)
+	done, err := s.execute(ctx, c)
 	if err == nil {
+		final = append(final, done)
 		return
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -133,11 +144,11 @@ func (s *Server) runCampaign(c *Campaign) {
 			c.setState(StatusCancelled, "", "")
 			if !s.killed.Load() {
 				if serr := s.store.SaveState(c.ID, c.currentState()); serr != nil {
-					c.log.append(Event{Type: EventCancelled, Msg: "state persist failed: " + serr.Error()})
+					final = append(final, Event{Type: EventCancelled, Msg: "state persist failed: " + serr.Error()})
 				}
 			}
 			s.settleDisk(c)
-			c.log.append(Event{Type: EventCancelled, Msg: "cancelled by request"})
+			final = append(final, Event{Type: EventCancelled, Msg: "cancelled by request"})
 			return
 		}
 		// Shutdown: the campaign stays in-flight and re-adoptable.
@@ -146,30 +157,31 @@ func (s *Server) runCampaign(c *Campaign) {
 	c.setState(StatusFailed, "", err.Error())
 	if !s.killed.Load() {
 		if serr := s.store.SaveState(c.ID, c.currentState()); serr != nil {
-			c.log.append(Event{Type: EventFailed, Msg: "state persist failed: " + serr.Error()})
+			final = append(final, Event{Type: EventFailed, Msg: "state persist failed: " + serr.Error()})
 		}
 	}
 	s.settleDisk(c)
-	c.log.append(Event{Type: EventFailed, Msg: err.Error()})
+	final = append(final, Event{Type: EventFailed, Msg: err.Error()})
 }
 
 // execute runs the two campaign phases: acquire the corpus (resumable),
-// then attack it (checkpointed) and forge.
-func (s *Server) execute(ctx context.Context, c *Campaign) error {
+// then attack it (checkpointed) and forge. On success it returns the
+// terminal "done" event for runCampaign to append last.
+func (s *Server) execute(ctx context.Context, c *Campaign) (Event, error) {
 	pub, dev, err := victim(c.Spec)
 	if err != nil {
-		return err
+		return Event{}, err
 	}
 	pubPath := filepath.Join(c.dir, pubFile)
 	if !exists(pubPath) {
 		logn := bits.Len(uint(c.Spec.N)) - 1
 		if err := os.WriteFile(pubPath, codec.EncodePublicKey(pub.H, logn), 0o644); err != nil {
-			return err
+			return Event{}, err
 		}
 	}
 	asp := phaseSpan("acquire")
 	if err := s.acquire(ctx, c, dev); err != nil {
-		return err
+		return Event{}, err
 	}
 	asp.End()
 	return s.attack(ctx, c, pub)
@@ -360,18 +372,18 @@ func phaseBeams(cfg core.Config) map[string]int {
 
 // attack runs the checkpointed extraction over the campaign corpus, then
 // forges and verifies a signature with the recovered key and persists the
-// result. A re-adopted campaign resumes from its sidecar; the finished
-// sidecar is byte-identical to an uninterrupted run's and is kept as the
-// campaign's durable attack record.
-func (s *Server) attack(ctx context.Context, c *Campaign, pub *falcon.PublicKey) error {
+// result, returning the "done" event. A re-adopted campaign resumes from
+// its sidecar; the finished sidecar is byte-identical to an uninterrupted
+// run's and is kept as the campaign's durable attack record.
+func (s *Server) attack(ctx context.Context, c *Campaign, pub *falcon.PublicKey) (Event, error) {
 	spec := c.Spec
 	corpus, err := tracestore.Open(s.store.TracePath(c.ID))
 	if err != nil {
-		return fmt.Errorf("attack: %w", err)
+		return Event{}, fmt.Errorf("attack: %w", err)
 	}
 	c.setState(StatusAttacking, "", "")
 	if err := s.store.SaveState(c.ID, c.currentState()); err != nil {
-		return err
+		return Event{}, err
 	}
 	c.log.append(Event{Type: EventAttacking})
 
@@ -404,32 +416,32 @@ func (s *Server) attack(ctx context.Context, c *Campaign, pub *falcon.PublicKey)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
+			return Event{}, err
 		}
 		msg := err.Error()
 		if report != nil && len(report.Failed) > 0 {
 			msg = fmt.Sprintf("%v (%d value(s) could not be established; first: %s)",
 				err, len(report.Failed), report.Failed[0])
 		}
-		return errors.New("attack: " + msg)
+		return Event{}, errors.New("attack: " + msg)
 	}
 	ksp.End()
 
 	fsp := phaseSpan("forge")
 	sig, err := priv.Sign([]byte(spec.Message), rng.New(rng.DeriveSeed(spec.Seed, forgeSalt)))
 	if err != nil {
-		return fmt.Errorf("forge: %w", err)
+		return Event{}, fmt.Errorf("forge: %w", err)
 	}
 	fsp.End()
 	vsp := phaseSpan("verify")
 	if err := pub.Verify([]byte(spec.Message), sig); err != nil {
-		return fmt.Errorf("forge: signature did not verify: %w", err)
+		return Event{}, fmt.Errorf("forge: signature did not verify: %w", err)
 	}
 	vsp.End()
 	logn := bits.Len(uint(spec.N)) - 1
 	enc, err := sig.Encode(logn, pub.Params.SigByteLen)
 	if err != nil {
-		return fmt.Errorf("forge: %w", err)
+		return Event{}, fmt.Errorf("forge: %w", err)
 	}
 
 	traces := spec.Traces
@@ -448,15 +460,14 @@ func (s *Server) attack(ctx context.Context, c *Campaign, pub *falcon.PublicKey)
 		TracesUsed:  traces,
 	}
 	if err := s.store.SaveResult(c.ID, res, core.KeyJSON(report.F, report.G)); err != nil {
-		return err
+		return Event{}, err
 	}
 	c.setState(StatusDone, "", "")
 	if err := s.store.SaveState(c.ID, c.currentState()); err != nil {
-		return err
+		return Event{}, err
 	}
 	// Settle after the final state write so the trued-up charge matches
 	// the bytes actually left in the campaign directory.
 	s.settleDisk(c)
-	c.log.append(Event{Type: EventDone, Msg: fmt.Sprintf("key recovered (min prune %.3f), forgery verified", report.MinPrune)})
-	return nil
+	return Event{Type: EventDone, Msg: fmt.Sprintf("key recovered (min prune %.3f), forgery verified", report.MinPrune)}, nil
 }

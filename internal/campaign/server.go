@@ -132,7 +132,9 @@ func Open(root string, cfg Config) (*Server, error) {
 		c.acquired = p.State.Acquired
 		c.errMsg = p.State.Error
 		s.nextSeq++
-		if !terminal(c.status) {
+		if terminal(c.status) {
+			c.log.close()
+		} else {
 			c.adopted = true
 			c.status = StatusQueued // re-runs from its durable artifacts
 			s.adopted = append(s.adopted, c.ID)
@@ -391,6 +393,7 @@ func (s *Server) Cancel(id string) (Snapshot, error) {
 			return c.Snapshot(), err
 		}
 		c.log.append(Event{Type: EventCancelled, Msg: "cancelled while queued"})
+		c.log.close()
 		return c.Snapshot(), nil
 	}
 	c.mu.Unlock()

@@ -2,10 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +69,7 @@ func TestServerEndToEndOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -256,5 +259,50 @@ func TestTenantQuotaAndQueueBackpressure(t *testing.T) {
 	hb := decodeBody[healthBody](t, hresp)
 	if hb.Status != "ok" || hb.Queued != 1 || hb.Campaigns != 1 {
 		t.Fatalf("health = %+v", hb)
+	}
+}
+
+func TestTerminalEventIsLastAct(t *testing.T) {
+	// A client that sees the terminal event must find every file of the
+	// campaign in place, the flight record included, and no later event.
+	srv, err := Open(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	killAtCleanup(t, srv)
+	c, err := srv.Submit(e2eSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	after := 0
+	for {
+		evs := c.WaitEvents(ctx, after)
+		if ctx.Err() != nil {
+			t.Fatalf("no terminal event: %+v", c.Snapshot())
+		}
+		if len(evs) == 0 {
+			continue
+		}
+		last := evs[len(evs)-1]
+		after = last.Seq
+		if !terminal(last.Type) {
+			continue
+		}
+		if last.Type != EventDone {
+			t.Fatalf("campaign ended with %+v", last)
+		}
+		for _, f := range []string{obsFile, resultFile, keyFile} {
+			if _, err := os.Stat(filepath.Join(srv.Store().Dir(c.ID), f)); err != nil {
+				t.Fatalf("terminal event seen before %s was written: %v", f, err)
+			}
+		}
+		break
+	}
+	// The log closes after the terminal event and takes nothing more.
+	if evs := c.WaitEvents(ctx, after); len(evs) != 0 || !c.EventsClosed() {
+		t.Fatalf("events after the terminal one: %+v (closed %v)", evs, c.EventsClosed())
 	}
 }

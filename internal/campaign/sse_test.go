@@ -69,7 +69,7 @@ func TestEventsOverSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	defer srv.Kill()
+	killAtCleanup(t, srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

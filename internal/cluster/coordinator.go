@@ -63,10 +63,6 @@ type Options struct {
 	// between are probabilistic protection only — an unchecked block
 	// from a liar still folds). Needs at least two nodes to engage.
 	CrossCheck float64
-	// Kernel, when non-empty, is the execution kernel requested of every
-	// worker ("scalar", "blocked", "fixed"); empty lets each node use its
-	// own configured kernel. Partials are byte-identical either way.
-	Kernel string
 }
 
 // Report counts what the fleet did; the differential suite asserts on it
@@ -268,7 +264,6 @@ func (c *Coordinator) runTask(p *core.DistPass, inflight *sync.WaitGroup, taskId
 		JobLo:   0,
 		ShardLo: shardLo,
 		ShardHi: shardHi,
-		Kernel:  c.opts.Kernel,
 	}
 	crosscheck := c.crossSelected(taskIdx) && len(c.nodes) >= 2
 	for a := 0; a <= c.opts.Retries && len(c.nodes) > 0; a++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"falcondown/internal/core"
 	"falcondown/internal/faultinject"
 	"falcondown/internal/supervise"
 	"falcondown/internal/tracestore"
@@ -194,79 +193,6 @@ func TestFleetCrossCheckQuarantinesLyingNode(t *testing.T) {
 	}
 	if !liarOpen {
 		t.Fatal("the quarantined node's breaker is not open")
-	}
-}
-
-func TestFleetHeterogeneousKernelsBitIdentical(t *testing.T) {
-	// A fleet where every node runs a different execution kernel — one
-	// blocked, one fixed-point, coordinator fallback scalar — must land
-	// byte-identical to the serial scalar reference. The kernel is a
-	// worker-local execution detail; if one kernel leaked a different bit
-	// into its partials, the cross-check would brand the node a liar, so
-	// this also proves the integrity machinery and the kernels agree.
-	f := campaign(t)
-	blocked := NewWorker(f.root)
-	blocked.Kernel = core.KernelBlocked
-	fixed := NewWorker(f.root)
-	fixed.Kernel = core.KernelFixed
-	srvB := httptest.NewServer(blocked.Handler())
-	t.Cleanup(srvB.Close)
-	srvF := httptest.NewServer(fixed.Handler())
-	t.Cleanup(srvF.Close)
-
-	c := New(Options{
-		Workers:       []string{srvB.URL, srvF.URL},
-		Corpus:        fixtureCorpus,
-		ShardsPerTask: 2,
-		CrossCheck:    1,
-	})
-	priv, rep, side := runFleet(t, f, c)
-	sameRecovery(t, f, "heterogeneous kernels", priv, rep, side)
-	r := c.Report()
-	if r.Remote != r.Tasks || r.Local != 0 {
-		t.Fatalf("report %+v: want all-remote execution", r)
-	}
-	if r.Mismatches != 0 || r.Quarantined != 0 {
-		t.Fatalf("report %+v: cross-check accused a kernel of divergence", r)
-	}
-}
-
-func TestFleetCoordinatorKernelOverrideBitIdentical(t *testing.T) {
-	// The coordinator can pin the fleet-wide kernel; the advisory rides
-	// in every task request, overrides each worker's own default, and
-	// still must not move a byte. A bogus name is a per-task 400 from the
-	// worker, which degrades that task to local compute rather than
-	// poisoning the campaign.
-	f := campaign(t)
-	scalarDefault := NewWorker(f.root) // worker default: scalar
-	srv := httptest.NewServer(scalarDefault.Handler())
-	t.Cleanup(srv.Close)
-
-	c := New(Options{
-		Workers:       []string{srv.URL},
-		Corpus:        fixtureCorpus,
-		ShardsPerTask: 2,
-		Kernel:        "fixed",
-	})
-	priv, rep, side := runFleet(t, f, c)
-	sameRecovery(t, f, "coordinator kernel override", priv, rep, side)
-	if r := c.Report(); r.Remote != r.Tasks || r.Local != 0 {
-		t.Fatalf("report %+v: want all-remote execution", r)
-	}
-
-	bad := New(Options{
-		Workers:       []string{srv.URL},
-		Corpus:        fixtureCorpus,
-		ShardsPerTask: 2,
-		Kernel:        "turbo",
-		Retries:       1,
-		Backoff:       time.Millisecond,
-		Breaker:       supervise.BreakerConfig{Threshold: 1000},
-	})
-	priv, rep, side = runFleet(t, f, bad)
-	sameRecovery(t, f, "unknown kernel name degraded", priv, rep, side)
-	if r := bad.Report(); r.Local != r.Tasks {
-		t.Fatalf("report %+v: unknown kernel should degrade every task to local", r)
 	}
 }
 

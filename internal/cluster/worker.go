@@ -44,11 +44,6 @@ type taskRequest struct {
 	JobLo   int `json:"jobLo"`
 	ShardLo int `json:"shardLo"`
 	ShardHi int `json:"shardHi"`
-	// Kernel, when set, asks the worker to sweep with the named execution
-	// kernel ("scalar", "blocked", "fixed"). Kernels accumulate identical
-	// bits, so this is advisory performance tuning, never correctness: an
-	// empty value falls back to the worker's own configured kernel.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // taskResponse carries one ShardPartial per swept shard, in shard order.
@@ -128,10 +123,6 @@ type Worker struct {
 	// Tap, when set, wraps every corpus just before it is swept — the
 	// test seam for a lying node: storage authentic, computation wrong.
 	Tap func(tracestore.Source) tracestore.Source
-
-	// Kernel is the execution kernel this node sweeps with when a task
-	// does not name one. The zero value is the scalar reference path.
-	Kernel core.Kernel
 
 	client *http.Client
 
@@ -406,21 +397,13 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusNotFound)
 		return
 	}
-	kern := w.Kernel
-	if req.Kernel != "" {
-		kern, err = core.ParseKernel(req.Kernel)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
 	w.served.Add(1)
 	mWorkerTasks.Inc()
 	var src core.Source = e.corpus
 	if w.Tap != nil {
 		src = w.Tap(src)
 	}
-	parts, err := core.ComputeShardPartialsKernel(src, req.View, req.Jobs, req.ShardLo, req.ShardHi, kern)
+	parts, err := core.ComputeShardPartials(src, req.View, req.Jobs, req.ShardLo, req.ShardHi)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return

@@ -102,13 +102,6 @@ type Config struct {
 	// checkpoint binding — a campaign checkpointed at one worker count
 	// resumes at any other.
 	Workers int `json:"-"`
-	// Kernel selects the correlation-kernel execution strategy (the zero
-	// value is the scalar reference; see cpa.Kernel). Like Workers it is
-	// pure execution strategy — every kernel produces bit-identical keys,
-	// reports and checkpoints — so it too is excluded from checkpoint
-	// binding: a campaign checkpointed under one kernel resumes under any
-	// other.
-	Kernel Kernel `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -193,7 +186,7 @@ func assembleMant(d, c uint64) uint64 {
 // attackMagnitude recovers exponent and mantissa (everything except the
 // sign) of one secret value.
 func attackMagnitude(obs []emleak.Observation, coeff int, part Part, cfg Config) magnitude {
-	biasedExp, expCorr, expAlts := attackExponent(obs, coeff, part, cfg.Kernel)
+	biasedExp, expCorr, expAlts := attackExponent(obs, coeff, part)
 	d, c, pruneCorr, gap := mantissa(obs, coeff, part, cfg)
 	escalated := false
 	if pruneCorr < cfg.EscalateBelow && cfg.TopK < maxTopK {
@@ -219,7 +212,7 @@ func attackMagnitude(obs []emleak.Observation, coeff int, part Part, cfg Config)
 func mantissa(obs []emleak.Observation, coeff int, part Part, cfg Config) (d, c uint64, corr, gap float64) {
 	dCands := extendHalf(obs, coeff, part, loBits, false, cfg)
 	cCands := extendHalf(obs, coeff, part, hiBits, true, cfg)
-	j := newPruneJob(coeff, part, dCands, cCands, cfg.Kernel)
+	j := newPruneJob(coeff, part, dCands, cCands)
 	feedSlice(obs, j)
 	return j.result()
 }
@@ -234,7 +227,7 @@ func AttackValue(obs []emleak.Observation, coeff int, part Part, cfg Config) (Va
 		return ValueResult{}, errNoTraces
 	}
 	mag := attackMagnitude(obs, coeff, part, cfg)
-	sign, signCorr := attackSign(obs, coeff, part, cfg.Kernel)
+	sign, signCorr := attackSign(obs, coeff, part)
 	value := fpr.FPR(uint64(sign)<<63) | mag.abs()
 	thr := cpa.Threshold(cfg.Confidence, len(obs))
 	return ValueResult{
@@ -263,7 +256,7 @@ func AttackCoefficient(obs []emleak.Observation, coeff int, cfg Config) (fft.Cpl
 	}
 	magRe := attackMagnitude(obs, coeff, PartRe, cfg)
 	magIm := attackMagnitude(obs, coeff, PartIm, cfg)
-	sRe, sIm, signCorr := attackSignJoint(obs, coeff, magRe.abs(), magIm.abs(), cfg.Kernel)
+	sRe, sIm, signCorr := attackSignJoint(obs, coeff, magRe.abs(), magIm.abs())
 	re := fpr.FPR(uint64(sRe)<<63) | magRe.abs()
 	im := fpr.FPR(uint64(sIm)<<63) | magIm.abs()
 	thr := cpa.Threshold(cfg.Confidence, len(obs))
@@ -287,16 +280,16 @@ func AttackCoefficient(obs []emleak.Observation, coeff int, cfg Config) (fft.Cpl
 // both windows touching the secret value. The correct guess has a
 // positive correlation peak; the wrong one is its mirror image (the
 // symmetry the paper notes in Fig. 4e).
-func attackSign(obs []emleak.Observation, coeff int, part Part, kern Kernel) (sign int, corr float64) {
-	j := newSignJob(coeff, part, kern)
+func attackSign(obs []emleak.Observation, coeff int, part Part) (sign int, corr float64) {
+	j := newSignJob(coeff, part)
 	feedSlice(obs, j)
 	return j.result()
 }
 
 // attackSignJoint resolves the two sign bits of a complex coefficient
 // through the four-hypothesis replay attack (see jointSignJob).
-func attackSignJoint(obs []emleak.Observation, coeff int, absRe, absIm fpr.FPR, kern Kernel) (sRe, sIm int, corr float64) {
-	j := newJointSignJob(coeff, absRe, absIm, kern)
+func attackSignJoint(obs []emleak.Observation, coeff int, absRe, absIm fpr.FPR) (sRe, sIm int, corr float64) {
+	j := newJointSignJob(coeff, absRe, absIm)
 	feedSlice(obs, j)
 	return j.result()
 }
@@ -315,8 +308,8 @@ func attackSignJoint(obs []emleak.Observation, coeff int, absRe, absIm fpr.FPR, 
 // powers of two), while the feasible exponents of FFT(f) coefficients
 // concentrate around 1023 + log2(√(n/2)·σ_{f,g}); exact ties are broken
 // toward that magnitude prior (see expJob.result).
-func attackExponent(obs []emleak.Observation, coeff int, part Part, kern Kernel) (biasedExp int, corr float64, alts []int) {
-	j := newExpJob(coeff, part, kern)
+func attackExponent(obs []emleak.Observation, coeff int, part Part) (biasedExp int, corr float64, alts []int) {
+	j := newExpJob(coeff, part)
 	feedSlice(obs, j)
 	return j.result(2 * len(obs[0].CFFT))
 }

@@ -111,12 +111,9 @@ func (c *Checkpoint) matches(n, count int, cfg Config) error {
 			ErrCheckpointMismatch, c.N, c.Count, n, count)
 	}
 	// Workers is scheduling only (results are worker-count-independent),
-	// so it never binds a checkpoint to a topology; Kernel likewise is pure
-	// execution strategy (every kernel accumulates identical bits), so a
-	// run may resume under a different kernel: normalize both sides.
+	// so it never binds a checkpoint to a topology: normalize both sides.
 	ckCfg, runCfg := c.Config, cfg
 	ckCfg.Workers, runCfg.Workers = 0, 0
-	ckCfg.Kernel, runCfg.Kernel = 0, 0
 	if ckCfg != runCfg {
 		return fmt.Errorf("%w: checkpoint was written with a different attack configuration", ErrCheckpointMismatch)
 	}

@@ -237,3 +237,83 @@ func TestFileCheckpointLifecycle(t *testing.T) {
 		t.Fatalf("Load after Remove: %v, %+v", err, ck)
 	}
 }
+
+func TestStragglersSkipRetriesAlreadyRunAtMaxBeam(t *testing.T) {
+	// On this corpus every straggler candidate escalated at the maximal
+	// beam, so a straggler retry repeats a deterministic run. The stage
+	// must skip it: fewer passes, and the same values, report and sidecar
+	// as a run that retries every candidate.
+	dev, _, _ := deviceFor(t, 8, 2.0, 5)
+	obs := collect(t, dev, 400, 6)
+	src := &countingSource{inner: tracestore.NewSliceSource(8, obs)}
+	cfg := Config{Workers: 1}
+	dir := t.TempDir()
+
+	store := &FileCheckpoint{Path: filepath.Join(dir, "skip.ckpt")}
+	out, vals, err := AttackFFTfResumable(src, cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipPasses := src.sweeps.Load()
+	sidecar, err := os.ReadFile(store.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same attack up to the straggler stage, then the stage as it ran
+	// before the skip: every candidate retried at the maximal beam.
+	src.sweeps.Store(0)
+	full := &FileCheckpoint{Path: filepath.Join(dir, "retry.ckpt")}
+	if _, _, err := AttackFFTfResumable(src, cfg, &failingStore{inner: full, remaining: 4}); !errors.Is(err, errKilled) {
+		t.Fatalf("interrupted run returned %v, want simulated crash", err)
+	}
+	ck, err := full.Load()
+	if err != nil || ck.Stage != StageSigns {
+		t.Fatalf("checkpoint after signs: %+v, %v", ck, err)
+	}
+	a := &attackRun{src: src, cfg: cfg.withDefaults(), store: full, workers: 1, n: 8, half: 4, count: 400, nVals: 8}
+	if _, err := a.restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	med := medianPrune(a.results)
+	var weak, redundant []int
+	for v, r := range a.results {
+		if r.PruneCorr < 0.8*med {
+			weak = append(weak, v)
+			if a.ranAtMaxBeam(r) {
+				redundant = append(redundant, v)
+			}
+		}
+	}
+	if len(redundant) == 0 || len(redundant) != len(weak) {
+		t.Fatalf("fixture drifted: %d straggler candidates, %d already at the maximal beam", len(weak), len(redundant))
+	}
+	improved, err := retryMaxBeam(src, a.cfg, a.out, a.results, weak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(improved) != 0 {
+		t.Fatalf("retry improved values %v that ran at the maximal beam", improved)
+	}
+	if err := a.save(StageStragglers); err != nil {
+		t.Fatal(err)
+	}
+	retryPasses := src.sweeps.Load()
+	retrySidecar, err := os.ReadFile(full.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if retryPasses <= skipPasses {
+		t.Fatalf("retrying took %d passes, skipping %d: the skip saved nothing", retryPasses, skipPasses)
+	}
+	sameValueResults(t, a.results, vals)
+	for k := range out {
+		if out[k] != a.out[k] {
+			t.Fatalf("coefficient %d differs from the retrying run", k)
+		}
+	}
+	if string(sidecar) != string(retrySidecar) {
+		t.Fatal("sidecar differs from the retrying run")
+	}
+}

@@ -14,7 +14,12 @@ package core
 //
 // Each job implements mergeJob: clone() returns a zero-state accumulator
 // sharing the job's read-only configuration (targets, candidate lists,
-// sample offsets), and merge() folds a clone's engine sums back in.
+// sample offsets), merge() folds a clone's engine sums back in, and
+// reset() zeroes a folded clone for reuse. The exponent, extend and prune
+// jobs also implement fusedJob: their fold() is the shard-fused kernel,
+// which folds a shard straight into the job's sums with no clone, bit for
+// bit as observe into a zero-state clone plus merge would (DESIGN.md
+// §3.8). The sign, joint-sign and Welford jobs run per-trace observe.
 
 import (
 	"math"
@@ -61,17 +66,15 @@ func feedSlice(obs []emleak.Observation, jobs ...passJob) {
 type signJob struct {
 	coeff   int
 	part    Part
-	kern    cpa.Kernel
 	engines [2]*cpa.Engine
 	h       []float64
 }
 
-func newSignJob(coeff int, part Part, kern cpa.Kernel) *signJob {
+func newSignJob(coeff int, part Part) *signJob {
 	return &signJob{
 		coeff:   coeff,
 		part:    part,
-		kern:    kern,
-		engines: [2]*cpa.Engine{cpa.NewEngineKernel(2, kern), cpa.NewEngineKernel(2, kern)},
+		engines: [2]*cpa.Engine{cpa.NewEngine(2), cpa.NewEngine(2)},
 		h:       make([]float64, 2),
 	}
 }
@@ -86,12 +89,12 @@ func (j *signJob) observe(o emleak.Observation) {
 	}
 }
 
-func (j *signJob) clone() mergeJob { return newSignJob(j.coeff, j.part, j.kern) }
+func (j *signJob) clone() mergeJob { return newSignJob(j.coeff, j.part) }
 
-// Two hypotheses per engine leave no tile to block; the scalar loop is
-// the batch path. kernel/cells feed the sweep throughput metrics.
-func (j *signJob) kernel() cpa.Kernel { return j.kern }
-func (j *signJob) cells() int         { return 2 * 2 }
+func (j *signJob) reset() { resetEngines(j.engines[:]) }
+
+// cells feeds the sweep throughput gauge.
+func (j *signJob) cells() int { return 2 * 2 }
 
 func (j *signJob) merge(o mergeJob) {
 	for w, e := range o.(*signJob).engines {
@@ -117,24 +120,24 @@ func (j *signJob) result() (sign int, corr float64) {
 type expJob struct {
 	coeff   int
 	part    Part
-	kern    cpa.Kernel
 	engines [2]*cpa.Engine
 	h       []float64
 }
 
 const nExpHyp = 2047 // biased exponents 1..2046 plus index 0 unused
 
-func newExpJob(coeff int, part Part, kern cpa.Kernel) *expJob {
+func newExpJob(coeff int, part Part) *expJob {
 	return &expJob{
 		coeff:   coeff,
 		part:    part,
-		kern:    kern,
-		engines: [2]*cpa.Engine{cpa.NewEngineKernel(nExpHyp, kern), cpa.NewEngineKernel(nExpHyp, kern)},
-		h:       make([]float64, nExpHyp),
+		engines: [2]*cpa.Engine{cpa.NewEngine(nExpHyp), cpa.NewEngine(nExpHyp)},
 	}
 }
 
 func (j *expJob) observe(o emleak.Observation) {
+	if j.h == nil {
+		j.h = make([]float64, nExpHyp)
+	}
 	for w, slot := range j.part.mulSlots() {
 		bec := knownFor(slot, o.CFFT[j.coeff]).BiasedExp()
 		for hyp := 1; hyp < nExpHyp; hyp++ {
@@ -145,42 +148,78 @@ func (j *expJob) observe(o emleak.Observation) {
 	}
 }
 
-// observeBatch is the blocked path over one shard: the per-trace biased
-// exponent and trace sample are hoisted once per window, then the engine
-// runs its tiled update with the hypothesis row regenerated per tile.
-// Windows use distinct engines, so batching a whole shard per window
-// preserves each engine's per-cell add order — byte-identical to observe.
-func (j *expJob) observeBatch(shard []emleak.Observation) {
-	if j.kern != cpa.KernelBlocked {
-		for _, o := range shard {
-			j.observe(o)
-		}
-		return
-	}
-	becs := make([]int, len(shard))
-	ts := make([]float64, len(shard))
+// fold is the fused kernel: per window it gathers the shard's known
+// exponents and samples once, then walks the hypotheses four at a time
+// over the shard's traces with register accumulators. Hypothesis 0 is
+// unused and observe never writes its prediction, so its cells take 0·t:
+// +0 on a shard of finite samples, which leaves them as they are.
+func (j *expJob) fold(shard []emleak.Observation) {
+	var base [2][shardObs]int
+	var ts [2][shardObs]float64
+	n := len(shard)
 	for w, slot := range j.part.mulSlots() {
 		for tr, o := range shard {
-			becs[tr] = knownFor(slot, o.CFFT[j.coeff]).BiasedExp()
-			ts[tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, slot, int(fpr.OpMulExp))]
+			base[w][tr] = knownFor(slot, o.CFFT[j.coeff]).BiasedExp() - 1023
+			ts[w][tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, slot, int(fpr.OpMulExp))]
 		}
-		j.engines[w].UpdateBatchFunc(ts, func(tr, lo, hi int, dst []float64) {
-			bec := becs[tr]
-			for hyp := lo; hyp < hi; hyp++ {
-				if hyp == 0 {
-					dst[0] = 0 // index 0 unused; scalar path never writes it
-					continue
-				}
-				dst[hyp-lo] = float64(bits.OnesCount64(uint64(bec + hyp - 1023)))
-			}
-		})
+		if !moderate(ts[w][:n]) {
+			foldByObserve(j, shard)
+			return
+		}
+	}
+	for w, e := range j.engines {
+		foldExpWindow(e, base[w][:n], ts[w][:n])
 	}
 }
 
-func (j *expJob) clone() mergeJob { return newExpJob(j.coeff, j.part, j.kern) }
+// foldExpWindow folds one window's shard into e. base[tr] is the known
+// biased exponent minus 1023, so hypothesis hyp predicts
+// HW(base[tr] + hyp).
+func foldExpWindow(e *cpa.Engine, base []int, ts []float64) {
+	ts = ts[:len(base)]
+	e.FoldTraces(ts)
+	hyp := 1
+	for ; hyp+4 <= nExpHyp; hyp += 4 {
+		var p0, p1, p2, p3 int
+		var s0, s1, s2, s3 float64
+		for tr, b := range base {
+			x := uint64(b + hyp)
+			t := ts[tr]
+			h0 := bits.OnesCount64(x)
+			h1 := bits.OnesCount64(x + 1)
+			h2 := bits.OnesCount64(x + 2)
+			h3 := bits.OnesCount64(x + 3)
+			p0 += hwTerm(h0)
+			p1 += hwTerm(h1)
+			p2 += hwTerm(h2)
+			p3 += hwTerm(h3)
+			s0 += float64(h0) * t
+			s1 += float64(h1) * t
+			s2 += float64(h2) * t
+			s3 += float64(h3) * t
+		}
+		foldHW(e, hyp, p0, s0)
+		foldHW(e, hyp+1, p1, s1)
+		foldHW(e, hyp+2, p2, s2)
+		foldHW(e, hyp+3, p3, s3)
+	}
+	for ; hyp < nExpHyp; hyp++ {
+		var p int
+		var s float64
+		for tr, b := range base {
+			h := bits.OnesCount64(uint64(b + hyp))
+			p += hwTerm(h)
+			s += float64(h) * ts[tr]
+		}
+		foldHW(e, hyp, p, s)
+	}
+}
 
-func (j *expJob) kernel() cpa.Kernel { return j.kern }
-func (j *expJob) cells() int         { return 2 * nExpHyp }
+func (j *expJob) clone() mergeJob { return newExpJob(j.coeff, j.part) }
+
+func (j *expJob) reset() { resetEngines(j.engines[:]) }
+
+func (j *expJob) cells() int { return 2 * nExpHyp }
 
 func (j *expJob) merge(o mergeJob) {
 	for w, e := range o.(*expJob).engines {
@@ -317,22 +356,7 @@ func (s *extendState) beginRound() *extendRoundJob {
 		}
 		next = filtered
 	}
-	targets := extendTargets(s.part, s.high)
-	engines := make([]*cpa.Engine, len(targets))
-	for i := range engines {
-		engines[i] = cpa.NewEngineKernel(len(next), s.cfg.Kernel)
-	}
-	s.round = &extendRoundJob{
-		coeff:   s.coeff,
-		part:    s.part,
-		high:    s.high,
-		kern:    s.cfg.Kernel,
-		targets: targets,
-		next:    next,
-		mask:    mask,
-		engines: engines,
-		h:       make([]float64, len(next)),
-	}
+	s.round = newExtendRoundJob(s.coeff, s.part, s.high, next, mask)
 	return s.round
 }
 
@@ -362,7 +386,6 @@ type extendRoundJob struct {
 	coeff   int
 	part    Part
 	high    bool
-	kern    cpa.Kernel
 	targets []extendTarget
 	next    []uint64
 	mask    uint64
@@ -370,7 +393,22 @@ type extendRoundJob struct {
 	h       []float64
 }
 
+func newExtendRoundJob(coeff int, part Part, high bool, next []uint64, mask uint64) *extendRoundJob {
+	targets := extendTargets(part, high)
+	engines := make([]*cpa.Engine, len(targets))
+	for i := range engines {
+		engines[i] = cpa.NewEngine(len(next))
+	}
+	return &extendRoundJob{
+		coeff: coeff, part: part, high: high,
+		targets: targets, next: next, mask: mask, engines: engines,
+	}
+}
+
 func (j *extendRoundJob) observe(o emleak.Observation) {
+	if j.h == nil {
+		j.h = make([]float64, len(j.next))
+	}
 	for ti, tg := range j.targets {
 		known := knownFor(tg.window, o.CFFT[j.coeff])
 		a, b := known.MantissaHalves()
@@ -385,55 +423,90 @@ func (j *extendRoundJob) observe(o emleak.Observation) {
 	}
 }
 
-// observeBatch hoists the per-trace known half and trace sample per
-// target, then regenerates hypothesis rows tile-by-tile inside the
-// blocked engine update. Per-target engines keep per-cell add order
-// identical to the scalar per-observation loop.
-func (j *extendRoundJob) observeBatch(shard []emleak.Observation) {
-	if j.kern != cpa.KernelBlocked {
-		for _, o := range shard {
-			j.observe(o)
-		}
-		return
-	}
-	kns := make([]uint64, len(shard))
-	ts := make([]float64, len(shard))
+// fold is the fused kernel: per target it gathers the shard's known halves
+// and samples once, then walks the candidates four at a time over the
+// shard's traces with register accumulators.
+func (j *extendRoundJob) fold(shard []emleak.Observation) {
+	var kns [4][shardObs]uint64
+	var ts [4][shardObs]float64
+	n := len(shard)
 	for ti, tg := range j.targets {
 		for tr, o := range shard {
 			a, b := knownFor(tg.window, o.CFFT[j.coeff]).MantissaHalves()
+			kns[ti][tr] = b
 			if tg.useHi {
-				kns[tr] = a
-			} else {
-				kns[tr] = b
+				kns[ti][tr] = a
 			}
-			ts[tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, tg.window, int(tg.op))]
+			ts[ti][tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, tg.window, int(tg.op))]
 		}
-		j.engines[ti].UpdateBatchFunc(ts, func(tr, lo, hi int, dst []float64) {
-			kn := kns[tr]
-			for i := lo; i < hi; i++ {
-				dst[i-lo] = float64(bits.OnesCount64((kn * j.next[i]) & j.mask))
-			}
-		})
+		if !moderate(ts[ti][:n]) {
+			foldByObserve(j, shard)
+			return
+		}
+	}
+	for ti, e := range j.engines {
+		foldExtendTarget(e, kns[ti][:n], ts[ti][:n], j.next, j.mask)
+	}
+}
+
+// foldExtendTarget folds one target's shard into e: candidate v predicts
+// HW((kns[tr]·v) & mask).
+func foldExtendTarget(e *cpa.Engine, kns []uint64, ts []float64, next []uint64, mask uint64) {
+	ts = ts[:len(kns)]
+	e.FoldTraces(ts)
+	i := 0
+	for ; i+4 <= len(next); i += 4 {
+		v0, v1, v2, v3 := next[i], next[i+1], next[i+2], next[i+3]
+		var p0, p1, p2, p3 int
+		var s0, s1, s2, s3 float64
+		for tr, kn := range kns {
+			t := ts[tr]
+			h0 := bits.OnesCount64((kn * v0) & mask)
+			h1 := bits.OnesCount64((kn * v1) & mask)
+			h2 := bits.OnesCount64((kn * v2) & mask)
+			h3 := bits.OnesCount64((kn * v3) & mask)
+			p0 += hwTerm(h0)
+			p1 += hwTerm(h1)
+			p2 += hwTerm(h2)
+			p3 += hwTerm(h3)
+			s0 += float64(h0) * t
+			s1 += float64(h1) * t
+			s2 += float64(h2) * t
+			s3 += float64(h3) * t
+		}
+		foldHW(e, i, p0, s0)
+		foldHW(e, i+1, p1, s1)
+		foldHW(e, i+2, p2, s2)
+		foldHW(e, i+3, p3, s3)
+	}
+	for ; i < len(next); i++ {
+		v := next[i]
+		var p int
+		var s float64
+		for tr, kn := range kns {
+			h := bits.OnesCount64((kn * v) & mask)
+			p += hwTerm(h)
+			s += float64(h) * ts[tr]
+		}
+		foldHW(e, i, p, s)
 	}
 }
 
 // clone shares the round's candidate expansion (targets, next, mask —
-// all read-only during the pass) and gets fresh engines and scratch.
+// all read-only during the pass) and gets fresh engines.
 func (j *extendRoundJob) clone() mergeJob {
 	engines := make([]*cpa.Engine, len(j.engines))
 	for i := range engines {
-		engines[i] = cpa.NewEngineKernel(len(j.next), j.kern)
+		engines[i] = cpa.NewEngine(len(j.next))
 	}
+	return j.withEngines(engines)
+}
+
+// withEngines is a copy of the job carrying the given engines.
+func (j *extendRoundJob) withEngines(engines []*cpa.Engine) *extendRoundJob {
 	return &extendRoundJob{
-		coeff:   j.coeff,
-		part:    j.part,
-		high:    j.high,
-		kern:    j.kern,
-		targets: j.targets,
-		next:    j.next,
-		mask:    j.mask,
-		engines: engines,
-		h:       make([]float64, len(j.next)),
+		coeff: j.coeff, part: j.part, high: j.high,
+		targets: j.targets, next: j.next, mask: j.mask, engines: engines,
 	}
 }
 
@@ -443,8 +516,9 @@ func (j *extendRoundJob) merge(o mergeJob) {
 	}
 }
 
-func (j *extendRoundJob) kernel() cpa.Kernel { return j.kern }
-func (j *extendRoundJob) cells() int         { return len(j.targets) * len(j.next) }
+func (j *extendRoundJob) reset() { resetEngines(j.engines) }
+
+func (j *extendRoundJob) cells() int { return len(j.targets) * len(j.next) }
 
 // pruneJob is the prune phase: every surviving (D, C) pair is scored
 // against the intermediate additions mid = lh+hl, sum1 = mid+(ll>>25) and
@@ -452,132 +526,130 @@ func (j *extendRoundJob) cells() int         { return len(j.targets) * len(j.nex
 // predict exactly from the known operand halves. Addition mixes the
 // unrelated operand into each candidate's prediction, so the
 // multiplicative shift ties break and only the true pair correlates at
-// every addition.
+// every addition. Engine wi·3+k holds addition k (mid, sum1, sum2) of
+// window wi.
 type pruneJob struct {
 	coeff   int
 	part    Part
-	kern    cpa.Kernel
 	pairs   []mantPair
-	ops     []fpr.Op
 	engines []*cpa.Engine
 	h       [][]float64
 }
 
 type mantPair struct{ d, c uint64 }
 
-func newPruneJob(coeff int, part Part, dCands, cCands []candidate, kern cpa.Kernel) *pruneJob {
+// pruneOps are the additions the prune phase correlates, in engine order.
+var pruneOps = [3]fpr.Op{fpr.OpMulMid, fpr.OpMulSum1, fpr.OpMulSum2}
+
+func newPruneJob(coeff int, part Part, dCands, cCands []candidate) *pruneJob {
 	pairs := make([]mantPair, 0, len(dCands)*len(cCands))
 	for _, dc := range dCands {
 		for _, cc := range cCands {
 			pairs = append(pairs, mantPair{dc.value, cc.value})
 		}
 	}
-	return pruneJobFromPairs(coeff, part, pairs, kern)
+	return pruneJobFromPairs(coeff, part, pairs)
 }
 
 // pruneJobFromPairs builds the prune accumulator over an explicit pair
 // list — the constructor a worker uses when the pairs arrive by wire.
-func pruneJobFromPairs(coeff int, part Part, pairs []mantPair, kern cpa.Kernel) *pruneJob {
-	ops := []fpr.Op{fpr.OpMulMid, fpr.OpMulSum1, fpr.OpMulSum2}
-	nEng := len(ops) * 2
-	j := &pruneJob{
-		coeff:   coeff,
-		part:    part,
-		kern:    kern,
-		pairs:   pairs,
-		ops:     ops,
-		engines: make([]*cpa.Engine, nEng),
-		h:       make([][]float64, nEng),
+func pruneJobFromPairs(coeff int, part Part, pairs []mantPair) *pruneJob {
+	engines := make([]*cpa.Engine, 2*len(pruneOps))
+	for i := range engines {
+		engines[i] = cpa.NewEngine(len(pairs))
 	}
-	for i := range j.engines {
-		j.engines[i] = cpa.NewEngineKernel(len(pairs), kern)
-		j.h[i] = make([]float64, len(pairs))
-	}
-	return j
+	return &pruneJob{coeff: coeff, part: part, pairs: pairs, engines: engines}
+}
+
+// pruneHW returns the Hamming weights of the three additions for known
+// halves (a, b) and candidate pair p.
+func pruneHW(a, b uint64, p mantPair) (mid, sum1, sum2 int) {
+	m := b*p.c + a*p.d
+	s1 := m + ((b * p.d) >> loBits)
+	s2 := a*p.c + (s1 >> loBits)
+	return bits.OnesCount64(m), bits.OnesCount64(s1), bits.OnesCount64(s2)
 }
 
 func (j *pruneJob) observe(o emleak.Observation) {
-	for wi, slot := range j.part.mulSlots() {
-		known := knownFor(slot, o.CFFT[j.coeff])
-		a, b := known.MantissaHalves()
-		for i, p := range j.pairs {
-			ll := b * p.d
-			hl := a * p.d
-			lh := b * p.c
-			hh := a * p.c
-			mid := lh + hl
-			sum1 := mid + (ll >> loBits)
-			sum2 := hh + (sum1 >> loBits)
-			j.h[wi*len(j.ops)+0][i] = float64(bits.OnesCount64(mid))
-			j.h[wi*len(j.ops)+1][i] = float64(bits.OnesCount64(sum1))
-			j.h[wi*len(j.ops)+2][i] = float64(bits.OnesCount64(sum2))
+	if j.h == nil {
+		j.h = make([][]float64, len(j.engines))
+		for i := range j.h {
+			j.h[i] = make([]float64, len(j.pairs))
 		}
-		for oi, op := range j.ops {
-			j.engines[wi*len(j.ops)+oi].Update(j.h[wi*len(j.ops)+oi],
+	}
+	for wi, slot := range j.part.mulSlots() {
+		a, b := knownFor(slot, o.CFFT[j.coeff]).MantissaHalves()
+		h := j.h[wi*len(pruneOps):]
+		for i, p := range j.pairs {
+			mid, sum1, sum2 := pruneHW(a, b, p)
+			h[0][i] = float64(mid)
+			h[1][i] = float64(sum1)
+			h[2][i] = float64(sum2)
+		}
+		for oi, op := range pruneOps {
+			j.engines[wi*len(pruneOps)+oi].Update(h[oi],
 				o.Trace.Samples[emleak.SampleIndex(j.coeff, slot, int(op))])
 		}
 	}
 }
 
-// observeBatch replays the shard through the blocked engines: operand
-// halves and per-op trace samples are hoisted per window, and each op's
-// fill recomputes the product chain up to that op for its tile — more
-// multiplies than the scalar path's shared chain, but the accumulator
-// tile stays register/L1-resident across the whole shard. One engine per
-// (window, op) keeps per-cell add order identical to observe.
-func (j *pruneJob) observeBatch(shard []emleak.Observation) {
-	if j.kern != cpa.KernelBlocked {
-		for _, o := range shard {
-			j.observe(o)
-		}
-		return
-	}
-	as := make([]uint64, len(shard))
-	bs := make([]uint64, len(shard))
-	ts := make([]float64, len(shard))
+// fold is the fused kernel: per window it gathers the shard's known
+// halves and the three additions' samples once, then walks the pairs
+// over the shard's traces, computing each pair's product chain once for
+// all three additions.
+func (j *pruneJob) fold(shard []emleak.Observation) {
+	var as, bs [2][shardObs]uint64
+	var ts [2][len(pruneOps)][shardObs]float64
+	n := len(shard)
 	for wi, slot := range j.part.mulSlots() {
 		for tr, o := range shard {
-			as[tr], bs[tr] = knownFor(slot, o.CFFT[j.coeff]).MantissaHalves()
-		}
-		for oi, op := range j.ops {
-			for tr, o := range shard {
-				ts[tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, slot, int(op))]
+			as[wi][tr], bs[wi][tr] = knownFor(slot, o.CFFT[j.coeff]).MantissaHalves()
+			for oi, op := range pruneOps {
+				ts[wi][oi][tr] = o.Trace.Samples[emleak.SampleIndex(j.coeff, slot, int(op))]
 			}
-			j.engines[wi*len(j.ops)+oi].UpdateBatchFunc(ts, func(tr, lo, hi int, dst []float64) {
-				a, b := as[tr], bs[tr]
-				for i := lo; i < hi; i++ {
-					p := j.pairs[i]
-					mid := b*p.c + a*p.d
-					v := mid
-					if oi >= 1 {
-						v = mid + ((b * p.d) >> loBits) // sum1
-					}
-					if oi == 2 {
-						v = a*p.c + (v >> loBits) // sum2
-					}
-					dst[i-lo] = float64(bits.OnesCount64(v))
-				}
-			})
 		}
+		for oi := range pruneOps {
+			if !moderate(ts[wi][oi][:n]) {
+				foldByObserve(j, shard)
+				return
+			}
+		}
+	}
+	for wi := range as {
+		foldPruneWindow(j.engines[wi*len(pruneOps):], as[wi][:n], bs[wi][:n], &ts[wi], j.pairs)
 	}
 }
 
-// clone shares the pair list and op table and gets fresh engines.
+// foldPruneWindow folds one window's shard into its three engines (mid,
+// sum1, sum2); ts[k] holds addition k's samples.
+func foldPruneWindow(eng []*cpa.Engine, as, bs []uint64, ts *[len(pruneOps)][shardObs]float64, pairs []mantPair) {
+	n := len(as)
+	bs = bs[:n]
+	tm, t1, t2 := ts[0][:n], ts[1][:n], ts[2][:n]
+	eng[0].FoldTraces(tm)
+	eng[1].FoldTraces(t1)
+	eng[2].FoldTraces(t2)
+	for i, p := range pairs {
+		var pm, p1, p2 int
+		var sm, s1, s2 float64
+		for tr, a := range as {
+			mid, sum1, sum2 := pruneHW(a, bs[tr], p)
+			pm += hwTerm(mid)
+			p1 += hwTerm(sum1)
+			p2 += hwTerm(sum2)
+			sm += float64(mid) * tm[tr]
+			s1 += float64(sum1) * t1[tr]
+			s2 += float64(sum2) * t2[tr]
+		}
+		foldHW(eng[0], i, pm, sm)
+		foldHW(eng[1], i, p1, s1)
+		foldHW(eng[2], i, p2, s2)
+	}
+}
+
+// clone shares the pair list and gets fresh engines.
 func (j *pruneJob) clone() mergeJob {
-	c := &pruneJob{
-		coeff:   j.coeff,
-		part:    j.part,
-		kern:    j.kern,
-		pairs:   j.pairs,
-		ops:     j.ops,
-		engines: make([]*cpa.Engine, len(j.engines)),
-		h:       make([][]float64, len(j.engines)),
-	}
-	for i := range c.engines {
-		c.engines[i] = cpa.NewEngineKernel(len(j.pairs), j.kern)
-		c.h[i] = make([]float64, len(j.pairs))
-	}
-	return c
+	return pruneJobFromPairs(j.coeff, j.part, j.pairs)
 }
 
 func (j *pruneJob) merge(o mergeJob) {
@@ -586,8 +658,9 @@ func (j *pruneJob) merge(o mergeJob) {
 	}
 }
 
-func (j *pruneJob) kernel() cpa.Kernel { return j.kern }
-func (j *pruneJob) cells() int         { return len(j.engines) * len(j.pairs) }
+func (j *pruneJob) reset() { resetEngines(j.engines) }
+
+func (j *pruneJob) cells() int { return len(j.engines) * len(j.pairs) }
 
 func (j *pruneJob) result() (d, c uint64, corr, gap float64) {
 	// Combined score: the mean correlation across additions and windows.
@@ -616,7 +689,6 @@ func (j *pruneJob) result() (d, c uint64, corr, gap float64) {
 // signs never vary.
 type jointSignJob struct {
 	coeff         int
-	kern          cpa.Kernel
 	cands         [4]fft.Cplx
 	sampleOffsets []int
 	eng           *cpa.MatrixEngine
@@ -625,8 +697,8 @@ type jointSignJob struct {
 	t             []float64
 }
 
-func newJointSignJob(coeff int, absRe, absIm fpr.FPR, kern cpa.Kernel) *jointSignJob {
-	j := &jointSignJob{coeff: coeff, kern: kern}
+func newJointSignJob(coeff int, absRe, absIm fpr.FPR) *jointSignJob {
+	j := &jointSignJob{coeff: coeff}
 	// Candidate secrets under the four hypotheses.
 	for i := 0; i < 4; i++ {
 		re := absRe
@@ -647,7 +719,7 @@ func newJointSignJob(coeff int, absRe, absIm fpr.FPR, kern cpa.Kernel) *jointSig
 	for s := emleak.MulsPerCoeff * emleak.OpsPerMul; s < emleak.SamplesPerCoeff; s++ {
 		j.sampleOffsets = append(j.sampleOffsets, s)
 	}
-	j.eng = cpa.NewMatrixEngineKernel(4, len(j.sampleOffsets), kern)
+	j.eng = cpa.NewMatrixEngine(4, len(j.sampleOffsets))
 	j.hs = make([]float64, 4*len(j.sampleOffsets))
 	j.t = make([]float64, len(j.sampleOffsets))
 	return j
@@ -675,50 +747,14 @@ func (j *jointSignJob) observe(o emleak.Observation) {
 	j.eng.Update(j.hs, j.t)
 }
 
-// observeBatch materializes the shard's replayed hypothesis matrices and
-// trace windows, then hands the whole batch to the matrix engine, whose
-// blocked update walks each accumulator cell once across all traces.
-func (j *jointSignJob) observeBatch(shard []emleak.Observation) {
-	if j.kern != cpa.KernelBlocked {
-		for _, o := range shard {
-			j.observe(o)
-		}
-		return
-	}
-	ns := len(j.sampleOffsets)
-	base := j.coeff * emleak.SamplesPerCoeff
-	hs := make([][]float64, len(shard))
-	ts := make([][]float64, len(shard))
-	for tr, o := range shard {
-		h := make([]float64, 4*ns)
-		t := make([]float64, ns)
-		for i, cand := range j.cands {
-			j.rec.Reset()
-			fft.MulTraced(o.CFFT[j.coeff], cand, &j.rec)
-			if j.rec.Len() != emleak.SamplesPerCoeff {
-				continue // degenerate replay (zero operand); predict flat
-			}
-			for k, off := range j.sampleOffsets {
-				h[i*ns+k] = float64(bits.OnesCount64(j.rec.Values[off]))
-			}
-		}
-		for k, off := range j.sampleOffsets {
-			t[k] = o.Trace.Samples[base+off]
-		}
-		hs[tr], ts[tr] = h, t
-	}
-	j.eng.UpdateBatch(hs, ts)
-}
-
 // clone shares the candidate table and sample offsets and gets a fresh
 // matrix engine plus its own replay recorder and scratch.
 func (j *jointSignJob) clone() mergeJob {
 	return &jointSignJob{
 		coeff:         j.coeff,
-		kern:          j.kern,
 		cands:         j.cands,
 		sampleOffsets: j.sampleOffsets,
-		eng:           cpa.NewMatrixEngineKernel(4, len(j.sampleOffsets), j.kern),
+		eng:           cpa.NewMatrixEngine(4, len(j.sampleOffsets)),
 		hs:            make([]float64, 4*len(j.sampleOffsets)),
 		t:             make([]float64, len(j.sampleOffsets)),
 	}
@@ -728,8 +764,9 @@ func (j *jointSignJob) merge(o mergeJob) {
 	j.eng.Merge(o.(*jointSignJob).eng)
 }
 
-func (j *jointSignJob) kernel() cpa.Kernel { return j.kern }
-func (j *jointSignJob) cells() int         { return 4 * len(j.sampleOffsets) }
+func (j *jointSignJob) reset() { j.eng.Reset() }
+
+func (j *jointSignJob) cells() int { return 4 * len(j.sampleOffsets) }
 
 func (j *jointSignJob) result() (sRe, sIm int, corr float64) {
 	// Score: mean correlation across sign-dependent samples.
@@ -741,4 +778,55 @@ func (j *jointSignJob) result() (sRe, sIm int, corr float64) {
 		}
 	}
 	return best & 1, best >> 1, bestScore
+}
+
+// maxFusedSample bounds the samples a fused kernel takes. Up to it every
+// cell of a shard partial is finite (|h·t| ≤ 2^406, t² ≤ 2^800), so the
+// kernel's adds give the same bits in whatever operand order the compiler
+// emits them. A NaN-plus-NaN add returns one operand's payload, so with
+// non-finite partials the bits would hang on the compiled order; shards
+// holding NaN, ±Inf or larger samples take the per-trace reference path.
+const maxFusedSample = 0x1p400
+
+// moderate reports whether every sample is within ±maxFusedSample (NaN is
+// not).
+func moderate(ts []float64) bool {
+	for _, t := range ts {
+		if !(t >= -maxFusedSample && t <= maxFusedSample) {
+			return false
+		}
+	}
+	return true
+}
+
+// foldByObserve is the per-trace reference fold: observe the shard into a
+// zero-state clone and merge it.
+func foldByObserve(j mergeJob, shard []emleak.Observation) {
+	c := j.clone()
+	for _, o := range shard {
+		c.observe(o)
+	}
+	j.merge(c)
+}
+
+// The fused kernels keep a hypothesis's Σh and Σh² in one integer
+// register: Σh in the low hwShift bits, Σh² above them. A shard holds at
+// most 64 traces of Hamming weight at most 64, so Σh ≤ 4096 never carries
+// into Σh².
+const hwShift = 16
+
+// hwTerm is one prediction's contribution to the packed register.
+func hwTerm(h int) int { return h + h*h<<hwShift }
+
+// foldHW folds one hypothesis's shard partial from its packed register
+// and its h·t sum.
+func foldHW(e *cpa.Engine, hyp, packed int, sumHT float64) {
+	e.FoldHyp(hyp, packed&(1<<hwShift-1), packed>>hwShift, sumHT)
+}
+
+// resetEngines zeroes a folded clone's engines for reuse.
+func resetEngines(engines []*cpa.Engine) {
+	for _, e := range engines {
+		e.Reset()
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"falcondown/internal/cpa"
 	"falcondown/internal/obs"
 )
 
@@ -28,7 +27,6 @@ var (
 		"wall-clock of folding one 64-observation shard into its jobs",
 		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 1})
 	mAttackStageSeconds  = map[string]*obs.Histogram{}
-	mSweepKernelSeconds  = map[cpa.Kernel]*obs.Histogram{}
 	mSweepCellThroughput = obs.NewGauge("falcon_sweep_update_throughput",
 		"accumulator-cell updates per second of the last sweep pass (traces x cells)")
 )
@@ -41,40 +39,22 @@ func init() {
 			"wall-clock of one completed attack stage",
 			obs.DurationBuckets, obs.Label{Name: "stage", Value: stage})
 	}
-	for _, k := range cpa.Kernels() {
-		mSweepKernelSeconds[k] = obs.NewHistogram(
-			"falcon_sweep_kernel_seconds",
-			"wall-clock of one sweep pass, by execution kernel",
-			obs.DurationBuckets, obs.Label{Name: "kernel", Value: k.String()})
-	}
 }
 
-// kernelJob is implemented by pass jobs that expose which kernel they run
-// and how many accumulator cells (hypothesis x sample sums) one
-// observation updates — the denominators of the sweep throughput gauge.
-type kernelJob interface {
-	kernel() cpa.Kernel
+// cellJob is implemented by pass jobs that report how many accumulator
+// cells (hypothesis x sample sums) one observation updates — the
+// numerator of the sweep throughput gauge.
+type cellJob interface {
 	cells() int
 }
 
-// observeKernels attributes a finished pass to its jobs' kernels and
-// refreshes the cell-update throughput gauge. Jobs without kernel
-// introspection (welford) contribute timing to the scalar bucket only.
-func observeKernels(traces int, jobs []passJob, elapsed time.Duration) {
-	seen := map[cpa.Kernel]bool{}
+// observeCells refreshes the cell-update throughput gauge from a finished
+// pass. Jobs without cells (welford) contribute nothing.
+func observeCells(traces int, jobs []passJob, elapsed time.Duration) {
 	cells := 0
 	for _, j := range jobs {
-		kj, ok := j.(kernelJob)
-		if !ok {
-			seen[cpa.KernelScalar] = true
-			continue
-		}
-		seen[kj.kernel()] = true
-		cells += kj.cells()
-	}
-	for k := range seen {
-		if h := mSweepKernelSeconds[k]; h != nil {
-			h.Observe(elapsed.Seconds())
+		if cj, ok := j.(cellJob); ok {
+			cells += cj.cells()
 		}
 	}
 	if sec := elapsed.Seconds(); sec > 0 && cells > 0 {
@@ -91,7 +71,7 @@ func observePass(traces int, jobs []passJob, elapsed time.Duration) {
 	mSweepJobs.Add(int64(len(jobs)))
 	mSweepHypothesisUpdates.Add(int64(traces) * int64(len(jobs)))
 	mSweepPassSeconds.Observe(elapsed.Seconds())
-	observeKernels(traces, jobs, elapsed)
+	observeCells(traces, jobs, elapsed)
 }
 
 // stageSpan times one attack stage; unknown stages get an inert span.

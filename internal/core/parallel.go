@@ -14,9 +14,14 @@ package core
 //   - the corpus is cut into fixed shards of shardObs consecutive
 //     observations (a property of the corpus, never of the scheduler);
 //   - each shard is accumulated sequentially, in corpus order, into a
-//     fresh zero-state clone of every job;
+//     zero-state partial of every job;
 //   - shard partials are folded into the main jobs in strict shard-index
 //     order (a left fold: ((J ⊕ P₀) ⊕ P₁) ⊕ P₂ …).
+//
+// The fused kernels (fusedJob) build a shard's partial in registers and
+// fold it straight into the job, so the serial path needs no partial
+// engine at all; the parallel path still builds partials, because they
+// finish out of order, and recycles each one once it has been folded.
 //
 // Workers race to *produce* shard partials, but the fold consumes them in
 // shard order, so the sequence of floating-point operations hitting the
@@ -47,14 +52,29 @@ const shardObs = 64
 
 // mergeJob is a passJob whose accumulation distributes over corpus
 // shards: clone() yields a zero-state accumulator sharing the job's
-// read-only configuration, and merge() folds a clone's sums back in.
-// merge must be a plain field-wise combination so that folding shard
-// partials in shard order reproduces the serial pass bit-for-bit.
+// read-only configuration, merge() folds a clone's sums back in, and
+// reset() returns a clone to its zero state so it can carry another
+// shard. merge must be a plain field-wise combination so that folding
+// shard partials in shard order reproduces the serial pass bit-for-bit.
 type mergeJob interface {
 	passJob
 	clone() mergeJob
 	merge(mergeJob)
+	reset()
 }
+
+// fusedJob is a mergeJob with a shard-fused kernel: fold(shard) folds the
+// shard's partial into the job's own sums, bit-identical to observing the
+// shard into a zero-state clone and merging that clone (DESIGN.md §3.8).
+// On a zero-state job it therefore leaves exactly the clone's partial.
+type fusedJob interface {
+	fold(shard []emleak.Observation)
+}
+
+// referenceFold, set only by tests, sends every job through the per-trace
+// reference (observe into a zero-state clone, then merge) instead of its
+// fused kernel, so the differential suite can compare the two end to end.
+var referenceFold bool
 
 // MaxWorkers is the largest Config.Workers value the engine accepts from
 // user input. Results are bit-identical at any worker count, so a huge
@@ -87,22 +107,21 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// batchObserver is a passJob that can consume a whole shard at once —
-// the hook the blocked kernel uses to run its tiled update over a batch
-// of traces. Implementations MUST be bit-identical to calling observe on
-// each observation in order (the blocked engines guarantee this because
-// tiling never reorders the adds hitting any one accumulator cell).
-type batchObserver interface {
-	observeBatch(shard []emleak.Observation)
+// fused returns j's fused kernel, or nil when j runs per-trace observe.
+func fused(j mergeJob) fusedJob {
+	if f, ok := j.(fusedJob); ok && !referenceFold {
+		return f
+	}
+	return nil
 }
 
-// accumulateShard feeds one shard into one accumulator through its batch
-// path when it has one, else observation by observation — the single
-// entry point every reduction path (serial fold, parallel tiles, fleet
-// shard partials) funnels through.
-func accumulateShard(c passJob, shard []emleak.Observation) {
-	if b, ok := c.(batchObserver); ok {
-		b.observeBatch(shard)
+// accumulateShard builds one shard's partial in a zero-state accumulator:
+// through the fused kernel when the job has one, else observation by
+// observation. The parallel tiles and the fleet's shard partials funnel
+// through it.
+func accumulateShard(c mergeJob, shard []emleak.Observation) {
+	if f := fused(c); f != nil {
+		f.fold(shard)
 		return
 	}
 	for _, o := range shard {
@@ -110,14 +129,17 @@ func accumulateShard(c passJob, shard []emleak.Observation) {
 	}
 }
 
-// foldShard accumulates one shard into fresh clones and merges them into
-// the jobs — the canonical per-shard step shared by every path.
+// foldShard folds one shard's partial into each job — the canonical
+// per-shard step of the serial path and feedSlice. A fused job folds in
+// place; any other job accumulates a zero-state clone and merges it.
 func foldShard(jobs []mergeJob, shard []emleak.Observation) {
 	sp := obs.StartSpan(mSweepShardSeconds)
 	for _, j := range jobs {
-		c := j.clone()
-		accumulateShard(c, shard)
-		j.merge(c)
+		if f := fused(j); f != nil {
+			f.fold(shard)
+			continue
+		}
+		foldByObserve(j, shard)
 	}
 	sp.End()
 }
@@ -210,7 +232,7 @@ func runPass(src Source, jobs []passJob, workers int) error {
 }
 
 // tile is one unit of parallel work: accumulate one corpus shard into
-// zero-state clones of one block of jobs.
+// zero-state partials of one block of jobs.
 type tile struct {
 	shard int
 	obs   []emleak.Observation
@@ -221,11 +243,38 @@ type tile struct {
 // them in strict shard-index order, parking early arrivals until their
 // turn comes. The number of parked partials is bounded by the number of
 // tiles in flight (prefetch depth × blocks), so memory stays bounded.
+// Folded partials go on a free list and carry a later shard of the same
+// pass, so a pass allocates about one partial per tile in flight rather
+// than one per shard.
 type blockFolder struct {
 	mu      sync.Mutex
 	jobs    []mergeJob
 	next    int
 	pending map[int][]mergeJob
+	free    [][]mergeJob
+}
+
+// partial returns zero-state partials of the block's jobs: a folded set
+// from the free list, reset, or fresh clones.
+func (f *blockFolder) partial() []mergeJob {
+	f.mu.Lock()
+	var p []mergeJob
+	if n := len(f.free); n > 0 {
+		p = f.free[n-1]
+		f.free = f.free[:n-1]
+	}
+	f.mu.Unlock()
+	if p == nil {
+		p = make([]mergeJob, len(f.jobs))
+		for i, j := range f.jobs {
+			p[i] = j.clone()
+		}
+		return p
+	}
+	for _, c := range p {
+		c.reset()
+	}
+	return p
 }
 
 func (f *blockFolder) deposit(shard int, partial []mergeJob) {
@@ -244,6 +293,7 @@ func (f *blockFolder) deposit(shard int, partial []mergeJob) {
 		for i, j := range f.jobs {
 			j.merge(p[i])
 		}
+		f.free = append(f.free, p)
 		f.next++
 	}
 }
@@ -251,10 +301,11 @@ func (f *blockFolder) deposit(shard int, partial []mergeJob) {
 // parallelPass is the tiled parallel engine. A prefetching reader decodes
 // the corpus into canonical shards ahead of the accumulators; the
 // dispatcher crosses each shard with the job blocks into tiles; workers
-// accumulate tiles into fresh clones; per-block folders consume the
-// partials in shard order. Block partitioning may depend on the worker
-// count — each job's partials are folded in shard order regardless of
-// which block (or worker) carried it, so the bits cannot.
+// accumulate tiles into zero-state partials; per-block folders consume
+// the partials in shard order and recycle them. Block partitioning may
+// depend on the worker count — each job's partials are folded in shard
+// order regardless of which block (or worker) carried it, so the bits
+// cannot.
 func parallelPass(src Source, jobs []mergeJob, workers int) error {
 	nBlocks := min(len(jobs), workers)
 	per := (len(jobs) + nBlocks - 1) / nBlocks
@@ -278,11 +329,9 @@ func parallelPass(src Source, jobs []mergeJob, workers int) error {
 			for t := range tiles {
 				sp := obs.StartSpan(mSweepShardSeconds)
 				f := folders[t.block]
-				partial := make([]mergeJob, len(f.jobs))
-				for i, j := range f.jobs {
-					c := j.clone()
+				partial := f.partial()
+				for _, c := range partial {
 					accumulateShard(c, t.obs)
-					partial[i] = c
 				}
 				f.deposit(t.shard, partial)
 				sp.End()

@@ -195,83 +195,103 @@ func TestDifferentialResumeSwitchesWorkerCounts(t *testing.T) {
 	}
 }
 
+// useReferenceFold routes every job through the per-trace reference
+// (observe into a zero-state clone, then merge) instead of its fused
+// kernel until the test ends, or back to the fused kernels when on is
+// false.
+func useReferenceFold(t *testing.T, on bool) {
+	t.Helper()
+	prev := referenceFold
+	referenceFold = on
+	t.Cleanup(func() { referenceFold = prev })
+}
+
+// foldName labels a run by the accumulation path it took.
+func foldName(reference bool) string {
+	if reference {
+		return "reference"
+	}
+	return "fused"
+}
+
 func TestDifferentialKernelsBitIdenticalAcrossWorkers(t *testing.T) {
-	// The execution kernel is a pure scheduling choice, exactly like the
-	// worker count: scalar, blocked and fixed-point runs must produce
-	// byte-identical keys, reports and sidecars at every worker count.
-	// The reference is the scalar serial run.
+	// The fused kernels must reproduce the per-trace reference path byte
+	// for byte: keys, reports and sidecars, at every worker count. The
+	// reference is the serial run with every job on observe + merge.
 	dev, _, _ := deviceFor(t, 8, 2.0, 41)
 	obs := collect(t, dev, 400, 42)
 	src := tracestore.NewSliceSource(8, obs)
 
+	useReferenceFold(t, true)
 	refOut, refVals, refSidecar := runAttackAt(t, src, Config{}, 1)
-	for _, k := range []Kernel{KernelScalar, KernelBlocked, KernelFixed} {
+	for _, ref := range []bool{false, true} {
+		useReferenceFold(t, ref)
 		for _, w := range []int{1, 2, 8} {
-			out, vals, sidecar := runAttackAt(t, src, Config{Kernel: k}, w)
-			sameAttackOutput(t, fmt.Sprintf("kernel=%s workers=%d", k, w),
+			out, vals, sidecar := runAttackAt(t, src, Config{}, w)
+			sameAttackOutput(t, fmt.Sprintf("%s workers=%d", foldName(ref), w),
 				refOut, refVals, refSidecar, out, vals, sidecar)
 		}
 	}
 }
 
 func TestDifferentialRobustKernelsBitIdentical(t *testing.T) {
-	// The robust preprocessing plan must also be kernel-independent: a
-	// kernel-dependent trim or resync decision would poison every later
-	// stage, so the dirty corpus gets its own kernel sweep.
+	// The dirty-corpus attack (robust preprocessing ahead of every pass)
+	// on the fused kernels against the serial per-trace reference.
 	if testing.Short() {
 		t.Skip("robust kernel differential covered by the full suite")
 	}
 	dev, _, _ := deviceFor(t, 8, 1.5, 43)
 	obs := dirtyCorpus(t, dev, 500)
 	src := tracestore.NewSliceSource(8, obs)
-	robust := RobustConfig{TrimSigmas: 4, ResyncShift: 2, Winsorize: 4}
+	cfg := Config{Robust: RobustConfig{TrimSigmas: 4, ResyncShift: 2, Winsorize: 4}}
 
-	refOut, refVals, refSidecar := runAttackAt(t, src, Config{Robust: robust}, 1)
-	for _, k := range []Kernel{KernelBlocked, KernelFixed} {
-		out, vals, sidecar := runAttackAt(t, src, Config{Robust: robust, Kernel: k}, 8)
-		sameAttackOutput(t, fmt.Sprintf("robust kernel=%s", k),
+	useReferenceFold(t, true)
+	refOut, refVals, refSidecar := runAttackAt(t, src, cfg, 1)
+	useReferenceFold(t, false)
+	for _, w := range []int{1, 8} {
+		out, vals, sidecar := runAttackAt(t, src, cfg, w)
+		sameAttackOutput(t, fmt.Sprintf("robust fused workers=%d", w),
 			refOut, refVals, refSidecar, out, vals, sidecar)
 	}
 }
 
 func TestDifferentialResumeSwitchesKernels(t *testing.T) {
-	// A campaign checkpointed under one kernel must resume under any
-	// other and still land bit-identical to the uninterrupted scalar
-	// serial run: the sidecar records kernel-independent state only
-	// (Config.Kernel is zeroed out of the binding, like Workers).
+	// A campaign checkpointed on one accumulation path must resume on the
+	// other and still land bit-identical to the uninterrupted serial
+	// reference run.
 	dev, _, _ := deviceFor(t, 8, 2.0, 45)
 	obs := collect(t, dev, 400, 46)
 	src := tracestore.NewSliceSource(8, obs)
 
+	useReferenceFold(t, true)
 	refOut, refVals, refSidecar := runAttackAt(t, src, Config{}, 1)
 
 	for _, sw := range []struct {
-		first, second Kernel
+		first, second bool // reference path?
 		stages        int
 	}{
-		{first: KernelScalar, second: KernelBlocked, stages: 2},
-		{first: KernelBlocked, second: KernelFixed, stages: 2},
-		{first: KernelFixed, second: KernelScalar, stages: 4},
+		{first: true, second: false, stages: 2},
+		{first: false, second: true, stages: 4},
 	} {
+		label := fmt.Sprintf("resume %s→%s", foldName(sw.first), foldName(sw.second))
 		store := &FileCheckpoint{Path: filepath.Join(t.TempDir(), "attack.ckpt")}
-		cfg := Config{Kernel: sw.first, Workers: 2}
+		cfg := Config{Workers: 2}
+		useReferenceFold(t, sw.first)
 		_, _, err := AttackFFTfResumable(src, cfg, &failingStore{inner: store, remaining: sw.stages})
 		if !errors.Is(err, errKilled) {
-			t.Fatalf("kernel %s→%s: interrupted run returned %v, want simulated crash",
-				sw.first, sw.second, err)
+			t.Fatalf("%s: interrupted run returned %v, want simulated crash", label, err)
 		}
 
-		cfg.Kernel = sw.second
+		useReferenceFold(t, sw.second)
 		out, vals, err := AttackFFTfResumable(src, cfg, store)
 		if err != nil {
-			t.Fatalf("kernel %s→%s: resume: %v", sw.first, sw.second, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		sidecar, err := os.ReadFile(store.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAttackOutput(t, fmt.Sprintf("resume kernel %s→%s", sw.first, sw.second),
-			refOut, refVals, refSidecar, out, vals, sidecar)
+		sameAttackOutput(t, label, refOut, refVals, refSidecar, out, vals, sidecar)
 	}
 }
 

@@ -196,6 +196,9 @@ func (j *welfordJob) clone() mergeJob {
 	return &welfordJob{transform: j.transform, clamp: j.clamp}
 }
 
+// reset zeroes a folded clone's statistics for reuse.
+func (j *welfordJob) reset() { clear(j.stats) }
+
 func (j *welfordJob) merge(o mergeJob) {
 	ow := o.(*welfordJob)
 	if ow.stats == nil {

@@ -104,7 +104,7 @@ func runMantissa(src Source, items []mantItem, workers int) ([]mantOut, error) {
 	pjobs := make([]*pruneJob, len(items))
 	jobs := make([]passJob, len(items))
 	for i, it := range items {
-		pjobs[i] = newPruneJob(it.idx/2, Part(it.idx%2), los[i].cands, his[i].cands, it.cfg.Kernel)
+		pjobs[i] = newPruneJob(it.idx/2, Part(it.idx%2), los[i].cands, his[i].cands)
 		jobs[i] = pjobs[i]
 	}
 	if err := runPass(src, jobs, workers); err != nil {
@@ -271,7 +271,6 @@ func (a *attackRun) save(stage string) error {
 	// of its json:"-" exclusion.
 	cfg := a.cfg
 	cfg.Workers = 0
-	cfg.Kernel = 0
 	ck := &Checkpoint{
 		Format: checkpointFormat,
 		N:      a.n,
@@ -297,7 +296,7 @@ func (a *attackRun) stageExponents() error {
 	expJobs := make([]*expJob, a.nVals)
 	jobs := make([]passJob, a.nVals)
 	for v := range expJobs {
-		expJobs[v] = newExpJob(v/2, Part(v%2), a.cfg.Kernel)
+		expJobs[v] = newExpJob(v/2, Part(v%2))
 		jobs[v] = expJobs[v]
 	}
 	if err := runPass(a.src, jobs, a.workers); err != nil {
@@ -368,7 +367,7 @@ func (a *attackRun) stageSigns() error {
 	jjobs := make([]*jointSignJob, a.half)
 	jobs := make([]passJob, a.half)
 	for k := 0; k < a.half; k++ {
-		jjobs[k] = newJointSignJob(k, a.mags[2*k].abs(), a.mags[2*k+1].abs(), a.cfg.Kernel)
+		jjobs[k] = newJointSignJob(k, a.mags[2*k].abs(), a.mags[2*k+1].abs())
 		jobs[k] = jjobs[k]
 	}
 	if err := runPass(a.src, jobs, a.workers); err != nil {
@@ -403,17 +402,34 @@ func (a *attackRun) stageSigns() error {
 // stageStragglers gives a second chance to values far below the
 // campaign's median prune correlation: they re-run with the maximal beam
 // (their extend passes are shared) and accepted fixes redo the joint sign
-// attack with the corrected magnitudes.
+// attack with the corrected magnitudes. A value whose mantissa already
+// came out of that very run is skipped (see ranAtMaxBeam).
 func (a *attackRun) stageStragglers() error {
 	med := medianPrune(a.results)
 	var weak []int
-	for v := range a.results {
-		if a.results[v].PruneCorr < 0.8*med {
+	for v, r := range a.results {
+		if r.PruneCorr < 0.8*med && !a.ranAtMaxBeam(r) {
 			weak = append(weak, v)
 		}
 	}
 	_, err := retryMaxBeam(a.src, a.cfg, a.out, a.results, weak)
 	return err
+}
+
+// ranAtMaxBeam reports whether r's current mantissa already came out of
+// runMantissa at the maximal beam, the exact run a straggler retry
+// repeats. That holds for every value when the base beam is maximal, and
+// for every escalation candidate when escalation ran at the maximal beam:
+// a candidate either took the escalated result (Escalated) or kept a
+// prune correlation still under EscalateBelow. The retry is deterministic,
+// so it would return the same correlation and fail retryMaxBeam's
+// improvement check. Everything here is restored state, so a resumed run
+// skips the same values.
+func (a *attackRun) ranAtMaxBeam(r ValueResult) bool {
+	if a.cfg.TopK >= maxTopK {
+		return true
+	}
+	return min(a.cfg.TopK*8, maxTopK) == maxTopK && (r.Escalated || r.PruneCorr < a.cfg.EscalateBelow)
 }
 
 // retryMaxBeam re-attacks the listed value indices with the maximal
@@ -457,7 +473,7 @@ func retryMaxBeam(src Source, cfg Config, out []fft.Cplx, results []ValueResult,
 		}
 		absRe := fpr.Abs(out[k].Re)
 		absIm := fpr.Abs(out[k].Im)
-		jj := newJointSignJob(k, absRe, absIm, retry.Kernel)
+		jj := newJointSignJob(k, absRe, absIm)
 		if err := runPass(src, []passJob{jj}, workers); err != nil {
 			return improved, err
 		}

@@ -246,7 +246,7 @@ func (j *expJob) fromState(st JobState) (mergeJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &expJob{coeff: j.coeff, part: j.part, kern: j.kern, engines: [2]*cpa.Engine{engines[0], engines[1]}}, nil
+	return &expJob{coeff: j.coeff, part: j.part, engines: [2]*cpa.Engine{engines[0], engines[1]}}, nil
 }
 
 func (j *signJob) spec() JobSpec {
@@ -262,7 +262,7 @@ func (j *signJob) fromState(st JobState) (mergeJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &signJob{coeff: j.coeff, part: j.part, kern: j.kern, engines: [2]*cpa.Engine{engines[0], engines[1]}}, nil
+	return &signJob{coeff: j.coeff, part: j.part, engines: [2]*cpa.Engine{engines[0], engines[1]}}, nil
 }
 
 func (j *extendRoundJob) spec() JobSpec {
@@ -281,9 +281,7 @@ func (j *extendRoundJob) fromState(st JobState) (mergeJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := j.clone().(*extendRoundJob)
-	c.engines = engines
-	return c, nil
+	return j.withEngines(engines), nil
 }
 
 func (j *pruneJob) spec() JobSpec {
@@ -304,9 +302,7 @@ func (j *pruneJob) fromState(st JobState) (mergeJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := j.clone().(*pruneJob)
-	c.engines = engines
-	return c, nil
+	return &pruneJob{coeff: j.coeff, part: j.part, pairs: j.pairs, engines: engines}, nil
 }
 
 func (j *jointSignJob) spec() JobSpec {
@@ -372,29 +368,17 @@ func (j *welfordJob) fromState(st JobState) (mergeJob, error) {
 }
 
 // jobFromSpec rebuilds a zero-state job from its wire description. The
-// rebuilt job's observe() performs the identical arithmetic as the
-// coordinator's live job because every piece of read-only configuration
-// is either shipped verbatim or a pure function of the spec fields. kern
-// selects the local execution kernel only — it never appears in the spec
-// because every kernel accumulates identical bits, so a worker is free to
-// run whichever kernel its operator configured.
-func jobFromSpec(s JobSpec, kern cpa.Kernel) (wireJob, error) {
+// rebuilt job performs the identical arithmetic as the coordinator's live
+// job because every piece of read-only configuration is either shipped
+// verbatim or a pure function of the spec fields.
+func jobFromSpec(s JobSpec) (wireJob, error) {
 	switch s.Kind {
 	case "exp":
-		return newExpJob(s.Coeff, Part(s.Part), kern), nil
+		return newExpJob(s.Coeff, Part(s.Part)), nil
 	case "sign":
-		return newSignJob(s.Coeff, Part(s.Part), kern), nil
+		return newSignJob(s.Coeff, Part(s.Part)), nil
 	case "extend":
-		targets := extendTargets(Part(s.Part), s.High)
-		engines := make([]*cpa.Engine, len(targets))
-		for i := range engines {
-			engines[i] = cpa.NewEngineKernel(len(s.Next), kern)
-		}
-		return &extendRoundJob{
-			coeff: s.Coeff, part: Part(s.Part), high: s.High, kern: kern,
-			targets: targets, next: s.Next, mask: s.Mask,
-			engines: engines, h: make([]float64, len(s.Next)),
-		}, nil
+		return newExtendRoundJob(s.Coeff, Part(s.Part), s.High, s.Next, s.Mask), nil
 	case "prune":
 		if len(s.D) != len(s.C) || len(s.D) == 0 {
 			return nil, fmt.Errorf("core: prune spec with %d d and %d c candidates", len(s.D), len(s.C))
@@ -403,9 +387,9 @@ func jobFromSpec(s JobSpec, kern cpa.Kernel) (wireJob, error) {
 		for i := range pairs {
 			pairs[i] = mantPair{d: s.D[i], c: s.C[i]}
 		}
-		return pruneJobFromPairs(s.Coeff, Part(s.Part), pairs, kern), nil
+		return pruneJobFromPairs(s.Coeff, Part(s.Part), pairs), nil
 	case "jointsign":
-		return newJointSignJob(s.Coeff, fpr.FPR(s.AbsRe), fpr.FPR(s.AbsIm), kern), nil
+		return newJointSignJob(s.Coeff, fpr.FPR(s.AbsRe), fpr.FPR(s.AbsIm)), nil
 	case "welford":
 		j := &welfordJob{clamp: s.Clamp}
 		if s.Transform != nil {
@@ -427,26 +411,17 @@ var errStopSweep = fmt.Errorf("core: stop sweep")
 
 // ComputeShardPartials is the worker entry point: rebuild the
 // coordinator's corpus view and the pass jobs, accumulate shards
-// [shardLo, shardHi) into fresh zero-state clones, and return their
-// states in shard order. It never folds anything — folding is the
-// coordinator's job, in global shard order.
+// [shardLo, shardHi) into zero-state partials, and return their states
+// in shard order. It never folds anything — folding is the coordinator's
+// job, in global shard order.
 func ComputeShardPartials(raw Source, view SourceSpec, specs []JobSpec, shardLo, shardHi int) ([]ShardPartial, error) {
-	return ComputeShardPartialsKernel(raw, view, specs, shardLo, shardHi, KernelScalar)
-}
-
-// ComputeShardPartialsKernel is ComputeShardPartials with an explicit
-// execution kernel. The partial states are byte-identical for every
-// kernel, so a fleet may freely mix kernels across nodes — the
-// cross-check and quarantine machinery (internal/cluster) would flag any
-// kernel that broke this.
-func ComputeShardPartialsKernel(raw Source, view SourceSpec, specs []JobSpec, shardLo, shardHi int, kern Kernel) ([]ShardPartial, error) {
 	src, err := BuildSource(raw, view)
 	if err != nil {
 		return nil, err
 	}
 	jobs := make([]mergeJob, len(specs))
 	for i, s := range specs {
-		if jobs[i], err = jobFromSpec(s, kern); err != nil {
+		if jobs[i], err = jobFromSpec(s); err != nil {
 			return nil, err
 		}
 	}
@@ -614,9 +589,12 @@ func (p *DistPass) Compute(shardLo, shardHi, jobLo, jobHi int) ([]ShardPartial, 
 }
 
 // computeLocalPartials accumulates shards [shardLo, shardHi) of src into
-// fresh clones of the given live jobs and encodes the partial states.
+// zero-state clones of the given live jobs and encodes the partial
+// states. One clone per job carries every shard, reset after each
+// encode.
 func computeLocalPartials(src Source, jobs []mergeJob, shardLo, shardHi int) ([]ShardPartial, error) {
 	var out []ShardPartial
+	var partials []mergeJob
 	idx := 0
 	err := forEachShard(src, func(shard []emleak.Observation) error {
 		k := idx
@@ -627,11 +605,17 @@ func computeLocalPartials(src Source, jobs []mergeJob, shardLo, shardHi int) ([]
 		if k >= shardHi {
 			return errStopSweep
 		}
+		if partials == nil {
+			partials = make([]mergeJob, len(jobs))
+			for i, j := range jobs {
+				partials[i] = j.clone()
+			}
+		}
 		sp := ShardPartial{Shard: k, States: make([]JobState, len(jobs))}
-		for i, j := range jobs {
-			c := j.clone()
+		for i, c := range partials {
 			accumulateShard(c, shard)
 			sp.States[i] = c.(wireJob).state()
+			c.reset()
 		}
 		out = append(out, sp)
 		return nil

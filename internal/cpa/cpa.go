@@ -21,10 +21,6 @@ type Engine struct {
 	sumT, sumT2 float64
 	sumH, sumH2 []float64
 	sumHT       []float64
-	// fx, when attached, mirrors the sums as exact int64 fixed-point
-	// accumulators (KernelFixed; see kernel.go). The float64 fields are
-	// then a cache refreshed by sync(); readers go through it.
-	fx *engineFx
 }
 
 // NewEngine returns an engine for nHyp hypotheses.
@@ -45,16 +41,6 @@ func (e *Engine) Traces() int { return e.d }
 // Update folds in one trace: h[i] is hypothesis i's predicted leakage for
 // this trace's known input, t the measured sample.
 func (e *Engine) Update(h []float64, t float64) {
-	if e.fx != nil {
-		e.updateFixed(h, t)
-		return
-	}
-	e.updateFloat(h, t)
-}
-
-// updateFloat is the scalar float64 reference accumulation — the bit
-// pattern every other kernel is pinned to.
-func (e *Engine) updateFloat(h []float64, t float64) {
 	e.d++
 	e.sumT += t
 	e.sumT2 += t * t
@@ -77,30 +63,63 @@ func (e *Engine) Merge(o *Engine) {
 	if len(e.sumH) != len(o.sumH) {
 		panic("cpa: Merge of engines with different hypothesis counts")
 	}
-	if e.fx != nil {
-		// Fold in the int64 domain when o's sums are exact integers that
-		// keep every combined sum in regime; otherwise leave the regime
-		// first, exactly like the float reference would have accumulated.
-		if e.mergeFixed(o) {
-			return
-		}
-		e.demote()
-	}
-	oT, oT2, oH, oH2, oHT := o.floatView()
 	e.d += o.d
-	e.sumT += oT
-	e.sumT2 += oT2
+	e.sumT += o.sumT
+	e.sumT2 += o.sumT2
 	for i := range e.sumH {
-		e.sumH[i] += oH[i]
-		e.sumH2[i] += oH2[i]
-		e.sumHT[i] += oHT[i]
+		e.sumH[i] += o.sumH[i]
+		e.sumH2[i] += o.sumH2[i]
+		e.sumHT[i] += o.sumHT[i]
 	}
+}
+
+// Shard partials. The attack's fused kernels (internal/core) fold one
+// shard of at most 64 traces straight into an engine, without building a
+// zero-state partial engine and merging it. FoldTraces and FoldHyp are
+// the two halves of that fold, and together they execute the very adds
+// Merge would apply to such a partial: the partial's cells are sums that
+// start at +0.0 and take their terms in trace order, and each is added
+// to the engine's cell once. Sums of integer predictions (Σh, Σh²) are
+// exact in any order while they stay below 2^53, so the kernels keep
+// them as integers. The partial's cells must be finite: two NaNs meeting
+// in one add keep the payload of whichever operand the compiled code
+// puts first, so a partial that can be NaN goes through Update and Merge
+// instead. DESIGN.md §3.8 states the contract.
+
+// FoldTraces folds the trace side of one shard partial: the shard's
+// samples in corpus order.
+func (e *Engine) FoldTraces(ts []float64) {
+	var sT, sT2 float64
+	for _, t := range ts {
+		sT += t
+		sT2 += t * t
+	}
+	e.d += len(ts)
+	e.sumT += sT
+	e.sumT2 += sT2
+}
+
+// FoldHyp folds hypothesis i's shard partial: sumH and sumH2 are the
+// exact sums of its integer predictions and of their squares, and sumHT
+// is the float64 sum of h·t, started at +0.0 and taken in trace order.
+func (e *Engine) FoldHyp(i, sumH, sumH2 int, sumHT float64) {
+	e.sumH[i] += float64(sumH)
+	e.sumH2[i] += float64(sumH2)
+	e.sumHT[i] += sumHT
+}
+
+// Reset returns the engine to its zero state, keeping its buffers, so a
+// folded partial can be reused for the next shard.
+func (e *Engine) Reset() {
+	e.d, e.sumT, e.sumT2 = 0, 0, 0
+	clear(e.sumH)
+	clear(e.sumH2)
+	clear(e.sumHT)
 }
 
 // Corr returns the Pearson correlation per hypothesis. Hypotheses with
 // zero prediction variance (constant predictions) report zero.
 func (e *Engine) Corr() []float64 {
-	e.sync()
 	out := make([]float64, len(e.sumH))
 	d := float64(e.d)
 	if e.d < 2 {
@@ -310,9 +329,6 @@ type MatrixEngine struct {
 	sumH  []float64 // nHyp × nSamp
 	sumH2 []float64
 	sumHT []float64
-	// fx, when attached, mirrors the sums as exact int64 fixed-point
-	// accumulators (KernelFixed; see kernel.go).
-	fx *matrixFx
 }
 
 // NewMatrixEngine returns an engine for nHyp hypotheses over nSamples
@@ -332,15 +348,6 @@ func NewMatrixEngine(nHyp, nSamples int) *MatrixEngine {
 // Update folds in one trace: h is the flattened nHyp×nSamples prediction
 // matrix, t the measured window.
 func (e *MatrixEngine) Update(h []float64, t []float64) {
-	if e.fx != nil {
-		e.updateFixed(h, t)
-		return
-	}
-	e.updateFloat(h, t)
-}
-
-// updateFloat is the scalar float64 reference accumulation.
-func (e *MatrixEngine) updateFloat(h []float64, t []float64) {
 	e.d++
 	for j, tv := range t {
 		e.sumT[j] += tv
@@ -363,28 +370,30 @@ func (e *MatrixEngine) Merge(o *MatrixEngine) {
 	if e.nHyp != o.nHyp || e.nSamp != o.nSamp {
 		panic("cpa: Merge of MatrixEngines with different shapes")
 	}
-	if e.fx != nil {
-		if e.mergeFixed(o) {
-			return
-		}
-		e.demote()
-	}
-	oT, oT2, oH, oH2, oHT := o.floatView()
 	e.d += o.d
 	for j := range e.sumT {
-		e.sumT[j] += oT[j]
-		e.sumT2[j] += oT2[j]
+		e.sumT[j] += o.sumT[j]
+		e.sumT2[j] += o.sumT2[j]
 	}
 	for i := range e.sumH {
-		e.sumH[i] += oH[i]
-		e.sumH2[i] += oH2[i]
-		e.sumHT[i] += oHT[i]
+		e.sumH[i] += o.sumH[i]
+		e.sumH2[i] += o.sumH2[i]
+		e.sumHT[i] += o.sumHT[i]
 	}
+}
+
+// Reset returns the engine to its zero state, keeping its buffers.
+func (e *MatrixEngine) Reset() {
+	e.d = 0
+	clear(e.sumT)
+	clear(e.sumT2)
+	clear(e.sumH)
+	clear(e.sumH2)
+	clear(e.sumHT)
 }
 
 // Corr returns the correlation matrix [hypothesis][sample].
 func (e *MatrixEngine) Corr() [][]float64 {
-	e.sync()
 	out := make([][]float64, e.nHyp)
 	d := float64(e.d)
 	for i := range out {

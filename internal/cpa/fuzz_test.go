@@ -65,8 +65,6 @@ func FuzzMatrixEngineState(f *testing.F) {
 		// ...and merge into a fresh engine of its shape without panicking.
 		fresh := NewMatrixEngine(dec.NHyp(), dec.NSamp())
 		fresh.Merge(dec)
-		fixed := NewMatrixEngineKernel(dec.NHyp(), dec.NSamp(), KernelFixed)
-		fixed.Merge(dec)
 	})
 }
 

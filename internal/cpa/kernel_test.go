@@ -10,31 +10,15 @@ import (
 	"testing"
 )
 
-// The kernel battery proves the designed invariant stated at the top of
-// kernel.go: every kernel — scalar, blocked at any tile shape, fixed-point
-// before and after demotion — produces bit-identical accumulators. The
-// comparisons are on Float64bits throughout; "close" is a bug here.
+// The shard-fold battery proves the contract of FoldTraces and FoldHyp:
+// a shard partial built in registers (integer Σh and Σh², a float64 Σh·t
+// started at +0.0 and taken in trace order) folds into an engine with the
+// very adds Merge applies to a partial engine fed by Update. The
+// comparisons are on IEEE-754 bits throughout; "close" is a bug here.
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/kernel_golden.json from the current kernel output")
 
-// quantSeries generates d traces of integer-valued predictions and
-// samples — the exactness regime of the fixed-point kernel (quantized
-// ADC output correlated against Hamming-weight predictions).
-func quantSeries(r *rand.Rand, nHyp, d int) (h [][]float64, t []float64) {
-	h = make([][]float64, d)
-	t = make([]float64, d)
-	for i := range h {
-		h[i] = make([]float64, nHyp)
-		for j := range h[i] {
-			h[i][j] = float64(r.Intn(65))
-		}
-		t[i] = float64(r.Intn(4096) - 2048) // signed 12-bit quantized sample
-	}
-	return h, t
-}
-
-// noisySeries generates non-integer traces — outside the fixed regime from
-// the first observation.
+// noisySeries generates non-integer traces against integer predictions.
 func noisySeries(r *rand.Rand, nHyp, d int) (h [][]float64, t []float64) {
 	h = make([][]float64, d)
 	t = make([]float64, d)
@@ -48,273 +32,121 @@ func noisySeries(r *rand.Rand, nHyp, d int) (h [][]float64, t []float64) {
 	return h, t
 }
 
-func TestParseKernelRoundTrip(t *testing.T) {
-	for _, k := range Kernels() {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
+// foldRows folds one shard the way the attack's fused kernels do: the
+// trace sums once, then per hypothesis a register pass over the shard's
+// traces. h holds integer predictions.
+func foldRows(e *Engine, h [][]float64, ts []float64) {
+	e.FoldTraces(ts)
+	for i := 0; i < e.NHyp(); i++ {
+		var sumH, sumH2 int
+		var sumHT float64
+		for tr, t := range ts {
+			v := int(h[tr][i])
+			sumH += v
+			sumH2 += v * v
+			sumHT += float64(v) * t
 		}
-	}
-	if k, err := ParseKernel(""); err != nil || k != KernelScalar {
-		t.Fatalf("empty kernel name = %v, %v; want scalar", k, err)
-	}
-	if _, err := ParseKernel("turbo"); err == nil {
-		t.Fatal("unknown kernel name accepted")
+		e.FoldHyp(i, sumH, sumH2, sumHT)
 	}
 }
 
-func TestFixedMatchesFloatBitForBitOnQuantizedCorpus(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	const nHyp, d = 9, 500
-	h, tr := quantSeries(r, nHyp, d)
-	ref := NewEngine(nHyp)
-	fx := NewEngineKernel(nHyp, KernelFixed)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
-		fx.Update(h[i], tr[i])
+// updatePartial is the reference shard partial: a zero-state engine fed
+// trace by trace through Update.
+func updatePartial(nHyp int, h [][]float64, ts []float64) *Engine {
+	p := NewEngine(nHyp)
+	for tr, t := range ts {
+		p.Update(h[tr], t)
 	}
-	if fx.fx == nil {
-		t.Fatal("fixed engine demoted on an integer-exact corpus")
-	}
-	if !sameBits(fx.Corr(), ref.Corr()) {
-		t.Fatal("fixed-point correlations differ from the float64 reference")
-	}
-	// The wire format is shared: a fixed engine's snapshot must be
-	// byte-identical to the float engine's at the same logical point.
-	a, _ := json.Marshal(fx.State())
-	b, _ := json.Marshal(ref.State())
-	if string(a) != string(b) {
-		t.Fatal("fixed and float engines serialize differently")
-	}
+	return p
 }
 
-func TestFixedDemotesExactlyMidStream(t *testing.T) {
-	// A non-integer trace arriving mid-corpus must land the fixed engine
-	// exactly where the float64 reference is — before, at, and after the
-	// demotion point.
-	r := rand.New(rand.NewSource(62))
-	const nHyp, d = 7, 300
-	h, tr := quantSeries(r, nHyp, d)
-	tr[137] = 3.25        // exact in float64, not an integer
-	tr[200] = math.NaN()  // pathological sample
-	tr[250] = math.Inf(1) // saturated sample
-	h[260][3] = 1.0e300   // pathological prediction
-	ref := NewEngine(nHyp)
-	fx := NewEngineKernel(nHyp, KernelFixed)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
-		fx.Update(h[i], tr[i])
-		if !sameBits(fx.Corr(), ref.Corr()) {
-			t.Fatalf("trace %d: fixed engine diverged from reference", i)
-		}
+func stateBytes(t *testing.T, e *Engine) string {
+	t.Helper()
+	b, err := json.Marshal(e.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fx.fx != nil {
-		t.Fatal("fixed engine still attached after a non-integer trace")
-	}
+	return string(b)
 }
 
-func TestFixedDemotesOnSumOverflow(t *testing.T) {
-	// Inputs at the ±2^26 magnitude bound: each t² add is 2^52, so the
-	// third observation pushes sumT2 past 2^53 and must trigger an exact
-	// rollback-and-demote, not a wrong int64 sum.
-	big := float64(int64(1) << 26)
-	h := []float64{big, -big}
-	ref := NewEngine(2)
-	fx := NewEngineKernel(2, KernelFixed)
-	for i := 0; i < 6; i++ {
-		ref.Update(h, big)
-		fx.Update(h, big)
-		if !sameBits(fx.Corr(), ref.Corr()) {
-			t.Fatalf("observation %d: overflow handling diverged from reference", i)
-		}
+// awkwardSample returns a sample value for trace i: mostly noise, with
+// −0.0, negatives and large magnitudes sprinkled in; with nonFinite,
+// also ±Inf, NaN and values whose squares overflow.
+func awkwardSample(r *rand.Rand, i int, nonFinite bool) float64 {
+	switch {
+	case i%7 == 3:
+		return math.Copysign(0, -1)
+	case i%11 == 5:
+		return -1e100
+	case i%13 == 6:
+		return 1e100
+	case nonFinite && i%17 == 8:
+		return math.Inf(1)
+	case nonFinite && i%19 == 9:
+		return math.Inf(-1)
+	case nonFinite && i%23 == 10:
+		return math.NaN()
+	case nonFinite && i%29 == 11:
+		return -1e300
 	}
-	if fx.fx != nil {
-		t.Fatal("engine still fixed after its sums left ±2^53")
-	}
-	if fx.Traces() != ref.Traces() {
-		t.Fatalf("trace counts diverged: %d vs %d", fx.Traces(), ref.Traces())
-	}
+	return 20*r.NormFloat64() - 5
 }
 
-func TestFixedRejectsOutOfRangeInputs(t *testing.T) {
-	// |v| > 2^26 inputs (products could exceed 2^52) must demote even
-	// though they are integers.
-	ref := NewEngine(1)
-	fx := NewEngineKernel(1, KernelFixed)
-	h := []float64{float64(int64(1)<<26 + 1)}
-	ref.Update(h, 3)
-	fx.Update(h, 3)
-	if fx.fx != nil {
-		t.Fatal("engine accepted an input above the 2^26 bound")
-	}
-	if !sameBits(fx.Corr(), ref.Corr()) {
-		t.Fatal("out-of-range demotion diverged from reference")
-	}
-}
-
-func TestFixedNegativeZeroInput(t *testing.T) {
-	// -0.0 is an integer-valued float; folding it through the int path
-	// (as +0) must match the float path bit-for-bit, including the sign
-	// bit of every accumulator.
-	ref := NewEngine(1)
-	fx := NewEngineKernel(1, KernelFixed)
-	for i := 0; i < 4; i++ {
-		ref.Update([]float64{math.Copysign(0, -1)}, 5)
-		fx.Update([]float64{math.Copysign(0, -1)}, 5)
-	}
-	ref.sync()
-	fx.sync()
-	if math.Float64bits(ref.sumH[0]) != math.Float64bits(fx.sumH[0]) {
-		t.Fatalf("sumH bits differ: %x vs %x",
-			math.Float64bits(ref.sumH[0]), math.Float64bits(fx.sumH[0]))
-	}
-}
-
-func TestBlockedTileShapeInvariance(t *testing.T) {
-	// Every positive tile width must yield byte-identical correlations:
-	// tiles partition the accumulator cells, so shape never reorders the
-	// adds within any one cell. Sweeps widths below, at, straddling, and
-	// above the hypothesis count.
-	r := rand.New(rand.NewSource(63))
-	const nHyp, d = 331, 400
-	h, tr := noisySeries(r, nHyp, d)
-	ref := NewEngine(nHyp)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
-	}
-	refCorr := ref.Corr()
-	defer func(w int) { tileHyp = w }(tileHyp)
-	for _, w := range []int{1, 2, 3, 7, 64, 100, 256, 330, 331, 332, 1024, 1 << 20} {
-		tileHyp = w
-		eng := NewEngineKernel(nHyp, KernelBlocked)
-		// Feed in uneven batches so batch boundaries move with the tile
-		// width test, not in lockstep with it.
-		for lo := 0; lo < d; {
-			hi := min(lo+1+(lo%91), d)
-			eng.UpdateBatch(h[lo:hi], tr[lo:hi])
-			lo = hi
-		}
-		if !sameBits(eng.Corr(), refCorr) {
-			t.Fatalf("tile width %d: blocked kernel differs from scalar reference", w)
-		}
-		if eng.Traces() != d {
-			t.Fatalf("tile width %d: %d traces, want %d", w, eng.Traces(), d)
+// intRows returns d rows of nHyp random Hamming weights.
+func intRows(r *rand.Rand, nHyp, d int) [][]float64 {
+	h := make([][]float64, d)
+	for i := range h {
+		h[i] = make([]float64, nHyp)
+		for j := range h[i] {
+			h[i][j] = float64(r.Intn(65))
 		}
 	}
-}
-
-func TestBlockedBatchFuncMatchesScalar(t *testing.T) {
-	// The generator-based entry point (what the attack jobs use) against
-	// per-trace Update, on noisy data, across batch sizes including 0 and 1.
-	r := rand.New(rand.NewSource(64))
-	const nHyp, d = 300, 257
-	h, tr := noisySeries(r, nHyp, d)
-	ref := NewEngine(nHyp)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
-	}
-	for _, batch := range []int{1, 2, 63, 64, 65, d} {
-		eng := NewEngineKernel(nHyp, KernelBlocked)
-		for lo := 0; lo < d; lo += batch {
-			hi := min(lo+batch, d)
-			base := lo
-			eng.UpdateBatchFunc(tr[lo:hi], func(i, tlo, thi int, dst []float64) {
-				copy(dst, h[base+i][tlo:thi])
-			})
-		}
-		eng.UpdateBatchFunc(nil, func(i, tlo, thi int, dst []float64) {
-			t.Fatal("fill called for an empty batch")
-		})
-		if !sameBits(eng.Corr(), ref.Corr()) {
-			t.Fatalf("batch size %d: UpdateBatchFunc differs from scalar updates", batch)
-		}
-	}
-}
-
-func TestFixedUpdateBatchMatchesScalarAcrossDemotion(t *testing.T) {
-	// Batching through a fixed engine must demote at exactly the same
-	// observation as scalar feeding, even when the demoting trace sits in
-	// the middle of a batch.
-	r := rand.New(rand.NewSource(65))
-	const nHyp, d = 17, 200
-	h, tr := quantSeries(r, nHyp, d)
-	tr[101] = 0.5
-	ref := NewEngineKernel(nHyp, KernelFixed)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
-	}
-	eng := NewEngineKernel(nHyp, KernelFixed)
-	for lo := 0; lo < d; lo += 64 {
-		hi := min(lo+64, d)
-		eng.UpdateBatch(h[lo:hi], tr[lo:hi])
-	}
-	if eng.fx != nil || ref.fx != nil {
-		t.Fatal("engines did not demote")
-	}
-	if !sameBits(eng.Corr(), ref.Corr()) {
-		t.Fatal("batched fixed engine differs from scalar fixed engine")
-	}
+	return h
 }
 
 func TestMergeAcrossKernels(t *testing.T) {
-	// Every (left kernel, right kernel) pairing of a split corpus must
-	// merge to the bits of the all-scalar merge at the same split — the
-	// kernel choice must be invisible to the pinned reduction, whatever
-	// its shape. (On noisy data a merged pair legitimately differs from
-	// the *unsplit* sequential engine — float addition is not associative —
-	// which is exactly why the engine pins a reduction; on integer-exact
-	// data both must also equal the unsplit engine, asserted separately.)
+	// Every shard length from 1 to 64 after a full first shard: folding a
+	// shard of finite samples in registers must land on the same bits as
+	// merging an Update-fed partial, whether the fold goes into the live
+	// engine or into a zero-state partial merged afterwards — also when
+	// the first shard, merged through Update as the fused kernels route
+	// such shards, left the sums at ±Inf or NaN.
 	r := rand.New(rand.NewSource(66))
-	const nHyp, d, split = 11, 400, 260
-	build := func(k Kernel, h [][]float64, tr []float64, lo, hi int) *Engine {
-		e := NewEngineKernel(nHyp, k)
-		for i := lo; i < hi; i++ {
-			e.Update(h[i], tr[i])
-		}
-		return e
-	}
-	for _, corpus := range []string{"quantized", "noisy"} {
-		var h [][]float64
-		var tr []float64
-		if corpus == "quantized" {
-			h, tr = quantSeries(r, nHyp, d)
-		} else {
-			h, tr = noisySeries(r, nHyp, d)
-		}
-		ref := build(KernelScalar, h, tr, 0, split)
-		ref.Merge(build(KernelScalar, h, tr, split, d))
-		if corpus == "quantized" {
-			unsplit := NewEngine(nHyp)
-			for i := 0; i < d; i++ {
-				unsplit.Update(h[i], tr[i])
+	const nHyp = 5
+	for _, nonFinite := range []bool{false, true} {
+		for n := 1; n <= 64; n++ {
+			d := 64 + n
+			h := intRows(r, nHyp, d)
+			ts := make([]float64, d)
+			for i := range ts {
+				ts[i] = awkwardSample(r, i, nonFinite && i < 64)
 			}
-			if !sameBits(ref.Corr(), unsplit.Corr()) {
-				t.Fatal("quantized corpus: split merge differs from unsplit updates")
-			}
-		}
-		for _, kl := range Kernels() {
-			for _, kr := range Kernels() {
-				a := build(kl, h, tr, 0, split)
-				b := build(kr, h, tr, split, d)
-				a.Merge(b)
-				if !sameBits(a.Corr(), ref.Corr()) {
-					t.Fatalf("%s corpus: merge %s<-%s differs from the all-scalar merge", corpus, kl, kr)
+			ref := NewEngine(nHyp)
+			direct := NewEngine(nHyp)
+			viaPartial := NewEngine(nHyp)
+			for k, s := range [][2]int{{0, 64}, {64, d}} {
+				hs, shard := h[s[0]:s[1]], ts[s[0]:s[1]]
+				ref.Merge(updatePartial(nHyp, hs, shard))
+				if k == 0 && nonFinite {
+					direct.Merge(updatePartial(nHyp, hs, shard))
+					viaPartial.Merge(updatePartial(nHyp, hs, shard))
+					continue
 				}
-				if a.Traces() != d {
-					t.Fatalf("%s corpus: merge %s<-%s folded %d traces, want %d", corpus, kl, kr, a.Traces(), d)
+				foldRows(direct, hs, shard)
+				p := NewEngine(nHyp)
+				foldRows(p, hs, shard)
+				if stateBytes(t, p) != stateBytes(t, updatePartial(nHyp, hs, shard)) {
+					t.Fatalf("nonFinite=%v n=%d: register partial differs from the Update partial", nonFinite, n)
 				}
+				viaPartial.Merge(p)
 			}
-		}
-		// A decoded wire partial (always a plain float engine) merged into a
-		// fixed engine — the fleet's fold path.
-		a := build(KernelFixed, h, tr, 0, split)
-		wire, err := EngineFromState(build(KernelScalar, h, tr, split, d).State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Merge(wire)
-		if !sameBits(a.Corr(), ref.Corr()) {
-			t.Fatalf("%s corpus: merging a decoded partial into a fixed engine diverged", corpus)
+			want := stateBytes(t, ref)
+			if got := stateBytes(t, direct); got != want {
+				t.Fatalf("nonFinite=%v n=%d: in-place fold differs from Merge of an Update partial", nonFinite, n)
+			}
+			if got := stateBytes(t, viaPartial); got != want {
+				t.Fatalf("nonFinite=%v n=%d: merged register partial differs from Merge of an Update partial", nonFinite, n)
+			}
 		}
 	}
 }
@@ -322,129 +154,66 @@ func TestMergeAcrossKernels(t *testing.T) {
 func TestMergeDoesNotMutateRightSide(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	const nHyp, d = 5, 100
-	h, tr := quantSeries(r, nHyp, d)
-	mk := func(k Kernel) *Engine {
-		e := NewEngineKernel(nHyp, k)
-		for i := 0; i < d; i++ {
-			e.Update(h[i], tr[i])
-		}
-		return e
-	}
-	for _, kl := range Kernels() {
-		for _, kr := range Kernels() {
-			left, right := mk(kl), mk(kr)
-			before := right.Corr()
-			left.Merge(right)
-			if !sameBits(right.Corr(), before) || right.Traces() != d {
-				t.Fatalf("merge %s<-%s mutated its right-hand side", kl, kr)
-			}
-		}
+	h, tr := intSeries(r, nHyp, d)
+	left, right := updatePartial(nHyp, h, tr), updatePartial(nHyp, h, tr)
+	before := stateBytes(t, right)
+	left.Merge(right)
+	if stateBytes(t, right) != before {
+		t.Fatal("Merge mutated its right-hand side")
 	}
 }
 
-func TestMatrixKernelsMatchScalar(t *testing.T) {
+func TestResetRestoresZeroState(t *testing.T) {
+	// A recycled partial must carry nothing of the shard it last held.
 	r := rand.New(rand.NewSource(68))
-	const nHyp, nSamp, d = 4, 18, 300
-	h := make([][]float64, d)
-	tr := make([][]float64, d)
-	for i := range h {
-		h[i] = make([]float64, nHyp*nSamp)
-		tr[i] = make([]float64, nSamp)
-		for j := range h[i] {
-			h[i][j] = float64(r.Intn(65))
-		}
-		for j := range tr[i] {
-			tr[i][j] = float64(r.Intn(1024))
-		}
+	h, tr := noisySeries(r, 9, 40)
+	e := updatePartial(9, h, tr)
+	e.Reset()
+	if stateBytes(t, e) != stateBytes(t, NewEngine(9)) {
+		t.Fatal("Engine.Reset left accumulator state behind")
 	}
-	ref := NewMatrixEngine(nHyp, nSamp)
-	for i := 0; i < d; i++ {
-		ref.Update(h[i], tr[i])
+	m := NewMatrixEngine(3, 4)
+	for i := 0; i < 10; i++ {
+		m.Update([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, float64(i)}, []float64{0.5, -1, 2, float64(i)})
 	}
-	// Fixed path, integer-exact throughout.
-	fx := NewMatrixEngineKernel(nHyp, nSamp, KernelFixed)
-	for i := 0; i < d; i++ {
-		fx.Update(h[i], tr[i])
-	}
-	if fx.fx == nil {
-		t.Fatal("matrix engine demoted on an integer-exact corpus")
-	}
-	if !sameBits(fx.MeanScore(), ref.MeanScore()) {
-		t.Fatal("fixed matrix engine differs from reference")
-	}
-	a, _ := json.Marshal(fx.State())
-	b, _ := json.Marshal(ref.State())
-	if string(a) != string(b) {
-		t.Fatal("fixed and float matrix engines serialize differently")
-	}
-	// Blocked batches of every size.
-	for _, batch := range []int{1, 7, 64, d} {
-		eng := NewMatrixEngineKernel(nHyp, nSamp, KernelBlocked)
-		for lo := 0; lo < d; lo += batch {
-			hi := min(lo+batch, d)
-			eng.UpdateBatch(h[lo:hi], tr[lo:hi])
-		}
-		if !sameBits(eng.MeanScore(), ref.MeanScore()) {
-			t.Fatalf("batch size %d: blocked matrix engine differs from reference", batch)
-		}
-	}
-	// Demotion mid-stream (one non-integer sample in one trace).
-	tr[150][3] = 2.5
-	ref2 := NewMatrixEngine(nHyp, nSamp)
-	fx2 := NewMatrixEngineKernel(nHyp, nSamp, KernelFixed)
-	for i := 0; i < d; i++ {
-		ref2.Update(h[i], tr[i])
-		fx2.Update(h[i], tr[i])
-	}
-	if fx2.fx != nil {
-		t.Fatal("matrix engine still fixed after a non-integer sample")
-	}
-	if !sameBits(fx2.MeanScore(), ref2.MeanScore()) {
-		t.Fatal("demoted matrix engine differs from reference")
-	}
-	// Cross-kernel merges against the unsplit reference.
-	for _, kl := range Kernels() {
-		for _, kr := range Kernels() {
-			a := NewMatrixEngineKernel(nHyp, nSamp, kl)
-			b := NewMatrixEngineKernel(nHyp, nSamp, kr)
-			for i := 0; i < 150; i++ {
-				a.Update(h[i], tr[i])
-			}
-			for i := 150; i < d; i++ {
-				b.Update(h[i], tr[i])
-			}
-			a.Merge(b)
-			if !sameBits(a.MeanScore(), ref2.MeanScore()) {
-				t.Fatalf("matrix merge %s<-%s differs from unsplit reference", kl, kr)
-			}
-		}
+	m.Reset()
+	got, _ := json.Marshal(m.State())
+	want, _ := json.Marshal(NewMatrixEngine(3, 4).State())
+	if string(got) != string(want) {
+		t.Fatal("MatrixEngine.Reset left accumulator state behind")
 	}
 }
 
-// kernelGolden is the committed regression fixture: the blocked kernel's
-// correlations on a pinned pseudo-random corpus, as IEEE-754 bit patterns.
-// It freezes the exact arithmetic of the kernel — an accidental
-// reassociation (e.g. a "harmless" loop-order tweak) changes these bytes
-// and fails the test, even if every differential test still self-agrees.
+// kernelGolden is the committed regression fixture: correlations on a
+// pinned pseudo-random corpus, as IEEE-754 bit patterns. It freezes the
+// exact arithmetic of the accumulation — an accidental reassociation
+// (e.g. a "harmless" loop-order tweak) changes these bytes and fails the
+// test, even if every differential test still self-agrees.
 type kernelGolden struct {
 	NHyp   int    `json:"nHyp"`
 	Traces int    `json:"traces"`
 	Corr   string `json:"corr"` // packed float64 bits, see packFloats
 }
 
+// goldenCorr runs the pinned corpus through the shard fold. The fixture
+// holds per-trace Update bits, and the fold reproduces them exactly when
+// the first shard is folded into the zero engine and every later shard
+// holds one trace: a register started at +0.0 and folded into +0.0 is
+// the Update sum itself, and a one-trace partial adds exactly h·t. So the
+// first 64 traces pin the in-register chain and the rest pin the fold.
 func goldenCorr() []float64 {
 	r := rand.New(rand.NewSource(69))
 	const nHyp, d = 129, 333
 	h, tr := noisySeries(r, nHyp, d)
-	eng := NewEngineKernel(nHyp, KernelBlocked)
-	for lo := 0; lo < d; lo += 64 {
-		hi := min(lo+64, d)
-		eng.UpdateBatch(h[lo:hi], tr[lo:hi])
+	eng := NewEngine(nHyp)
+	foldRows(eng, h[:64], tr[:64])
+	for i := 64; i < d; i++ {
+		foldRows(eng, h[i:i+1], tr[i:i+1])
 	}
 	return eng.Corr()
 }
 
-func TestBlockedKernelGoldenRegression(t *testing.T) {
+func TestKernelGoldenRegression(t *testing.T) {
 	path := filepath.Join("testdata", "kernel_golden.json")
 	corr := goldenCorr()
 	if *updateGolden {
@@ -470,6 +239,12 @@ func TestBlockedKernelGoldenRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameBits(corr, want) {
-		t.Fatal("blocked kernel output drifted from the committed golden bits")
+		t.Fatal("shard fold drifted from the committed golden bits")
+	}
+	// The fixture is the per-trace reference too.
+	r := rand.New(rand.NewSource(69))
+	h, tr := noisySeries(r, g.NHyp, g.Traces)
+	if !sameBits(updatePartial(g.NHyp, h, tr).Corr(), want) {
+		t.Fatal("per-trace Update drifted from the committed golden bits")
 	}
 }

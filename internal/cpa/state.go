@@ -62,13 +62,8 @@ type EngineState struct {
 	SumHT string `json:"sumHT"`
 }
 
-// State snapshots the engine's accumulators bit-exactly. A fixed-point
-// engine syncs its int64 mirror into the float64 fields first — every
-// mirrored sum is within ±2^53, hence exactly representable, so the wire
-// form is byte-identical to a float64 engine at the same logical point
-// and the wire format needs no fixed-point variant.
+// State snapshots the engine's accumulators bit-exactly.
 func (e *Engine) State() EngineState {
-	e.sync()
 	return EngineState{
 		D:     e.d,
 		NHyp:  len(e.sumH),
@@ -184,10 +179,8 @@ func (e *MatrixEngine) NHyp() int { return e.nHyp }
 func (e *MatrixEngine) NSamp() int { return e.nSamp }
 
 // State snapshots the per-sample-prediction engine's accumulators
-// bit-exactly (fixed-point engines sync their exact mirror first; see
-// Engine.State).
+// bit-exactly.
 func (e *MatrixEngine) State() MatrixEngineState {
-	e.sync()
 	return MatrixEngineState{
 		D:     e.d,
 		NHyp:  e.nHyp,

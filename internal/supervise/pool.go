@@ -96,6 +96,10 @@ type PoolOptions struct {
 	// Progress, when set, is called after each committed observation
 	// with the number done so far (including Start) and the total.
 	Progress func(done, total int)
+
+	// afterClaim, set only by tests, runs after a worker claims index idx;
+	// windowFull reports whether every reorder-window slot is taken.
+	afterClaim func(idx int, windowFull func() bool)
 }
 
 // Report summarizes a supervised acquisition: per-device breaker state
@@ -211,6 +215,9 @@ func (p *pool) run(ctx context.Context, count int, w tracestore.Appender, report
 		obs emleak.Observation
 		err error
 	}
+	// As in tracestore.Acquire, a worker takes its reorder-window slot
+	// before it claims an index, so the lowest uncommitted index always
+	// holds a slot.
 	window := workers * 4
 	sem := make(chan struct{}, window)
 	results := make(chan item, window)
@@ -223,14 +230,18 @@ func (p *pool) run(ctx context.Context, count int, w tracestore.Appender, report
 		go func() {
 			defer wg.Done()
 			for !failed.Load() {
-				i := p.opts.Start + int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
 				select {
 				case sem <- struct{}{}:
 				case <-ctx.Done():
 					return
+				}
+				i := p.opts.Start + int(next.Add(1)) - 1
+				if i >= count {
+					<-sem
+					return
+				}
+				if p.opts.afterClaim != nil {
+					p.opts.afterClaim(i, func() bool { return len(sem) == cap(sem) })
 				}
 				o, err := p.measure(ctx, uint64(i))
 				results <- item{idx: i, obs: o, err: err}

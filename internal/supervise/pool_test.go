@@ -312,3 +312,32 @@ func TestAcquirePoolValidation(t *testing.T) {
 		t.Fatal("negative start accepted")
 	}
 }
+
+func TestAcquirePoolLowestIndexParkedUntilWindowFull(t *testing.T) {
+	// Hold the worker that claimed the first index until every
+	// reorder-window slot is taken. A worker that claims its index before
+	// taking a slot then waits forever for a slot only its own index
+	// could free.
+	dev := poolVictim(t, 1.0)
+	want := reference(t, dev, 5, 40)
+	devices := []Device{NewIdeal(dev), NewIdeal(dev)}
+	var w sliceAppender
+	_, err := AcquirePool(context.Background(), devices, 5, 40, &w, PoolOptions{
+		Workers: 3,
+		Clock:   faultinject.NewVirtualClock(),
+		afterClaim: func(idx int, windowFull func() bool) {
+			if idx != 0 {
+				return
+			}
+			for !windowFull() {
+				time.Sleep(50 * time.Microsecond)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.obs, want) {
+		t.Fatal("pool corpus differs from single-device Acquire corpus")
+	}
+}

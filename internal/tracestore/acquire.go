@@ -34,6 +34,10 @@ type AcquireOptions struct {
 	// Progress, when set, is called after each observation is committed,
 	// with the number done so far (including Start) and the total.
 	Progress func(done, total int)
+
+	// afterClaim, set only by tests, runs after a worker claims index idx;
+	// windowFull reports whether every reorder-window slot is taken.
+	afterClaim func(idx int, windowFull func() bool)
 }
 
 // Acquire runs a known-plaintext campaign of count measurements against
@@ -75,7 +79,11 @@ func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w 
 		err error
 	}
 	// The reorder window bounds how far ahead of the writer any worker
-	// may run, capping buffered observations at window size.
+	// may run, capping buffered observations at window size. A worker
+	// takes its slot before it claims an index, so every claimed index
+	// holds a slot and the lowest uncommitted one can always finish: a
+	// claim made first could sit slotless while later indices fill the
+	// window, and the collector frees slots only in index order.
 	window := workers * 4
 	sem := make(chan struct{}, window)
 	results := make(chan item, window)
@@ -89,14 +97,18 @@ func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w 
 			defer wg.Done()
 			local := dev.Clone(0) // noise reseeded per observation
 			for !failed.Load() {
-				i := opts.Start + int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
 				select {
 				case sem <- struct{}{}:
 				case <-ctx.Done():
 					return
+				}
+				i := opts.Start + int(next.Add(1)) - 1
+				if i >= count {
+					<-sem
+					return
+				}
+				if opts.afterClaim != nil {
+					opts.afterClaim(i, func() bool { return len(sem) == cap(sem) })
 				}
 				o, err := emleak.ObservationAt(local, seed, uint64(i))
 				results <- item{idx: i, obs: o, err: err}

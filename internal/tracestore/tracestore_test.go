@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"falcondown/internal/emleak"
 	"falcondown/internal/falcon"
@@ -381,4 +382,49 @@ func TestAcquireMatchesObservationAt(t *testing.T) {
 		want[i] = o
 	}
 	sameObservations(t, want, got)
+}
+
+// parkLowest returns an afterClaim hook that holds the worker which
+// claimed index lo until every reorder-window slot is taken — the
+// schedule in which a worker that claims its index before taking a slot
+// waits forever for a slot only its own index could free.
+func parkLowest(lo int) func(int, func() bool) {
+	return func(idx int, windowFull func() bool) {
+		if idx != lo {
+			return
+		}
+		for !windowFull() {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+func TestAcquireLowestIndexParkedUntilWindowFull(t *testing.T) {
+	priv, _, err := falcon.GenerateKey(8, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := emleak.NewDevice(priv.FFTOfF(), emleak.HammingWeight{},
+		emleak.Probe{Gain: 1, NoiseSigma: 1.5}, 42)
+	var want, got sliceAppender
+	if err := Acquire(context.Background(), dev, 7, 40, &want, AcquireOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []int{0, 3} {
+		got.obs = append(got.obs[:0], want.obs[:start]...)
+		if err := Acquire(context.Background(), dev, 7, 40, &got, AcquireOptions{
+			Workers: 3, Start: start, afterClaim: parkLowest(start),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameObservations(t, want.obs, got.obs)
+	}
+}
+
+// sliceAppender collects committed observations in order.
+type sliceAppender struct{ obs []emleak.Observation }
+
+func (a *sliceAppender) Append(o emleak.Observation) error {
+	a.obs = append(a.obs, o)
+	return nil
 }

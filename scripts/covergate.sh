@@ -1,10 +1,10 @@
 #!/bin/sh
 # covergate.sh — statement-coverage floor for the accumulator-critical
-# packages. The CPA kernels and the attack engine carry the byte-identity
-# contract, so their test batteries must not quietly shrink: the floors
-# sit just under the measured baseline (cpa 86.0%, core 87.4% at the time
-# the kernel battery landed) and the gate fails if either package drops
-# below its floor.
+# packages. The CPA engines and the attack engine with its fused kernels
+# carry the byte-identity contract, so their test batteries must not
+# quietly shrink: the floors sit just under the baseline measured when
+# the gate landed (cpa 86.0%, core 87.4%) and the gate fails if either
+# package drops below its floor.
 #
 # Usage: scripts/covergate.sh
 set -eu
