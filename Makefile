@@ -18,11 +18,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick race pass over the concurrent paths (acquisition worker pool,
-# the parallel attack engine and its differential bit-identity suite,
-# the prefetch pipeline, and the statistics merge operations).
+# Quick race pass over the concurrent paths (the acquisition pipeline and
+# the supervised pool on top of it, the parallel attack engine and its
+# differential bit-identity suite, the prefetch pipeline, the shard
+# walker's transient retry at one and two workers, and the statistics
+# merge operations).
 race-short:
-	$(GO) test -race -short -shuffle=on -run 'Acquire|Stream|Corpus|Pool|Breaker|Clock|Differential|Parallel|Merge|Prefetch' ./internal/tracestore ./internal/core ./internal/supervise ./internal/faultinject ./internal/cpa
+	$(GO) test -race -short -shuffle=on -run 'Acquire|Stream|Corpus|Pool|Breaker|Clock|Differential|Parallel|Merge|Prefetch|Transient' ./internal/tracestore ./internal/core ./internal/supervise ./internal/faultinject ./internal/cpa
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

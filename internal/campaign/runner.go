@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -48,9 +47,6 @@ type Result struct {
 	Signature  []byte `json:"signature"`
 	TracesUsed int    `json:"tracesUsed"`
 }
-
-// SignatureBase64 renders the forgery for display.
-func (r Result) SignatureBase64() string { return base64.StdEncoding.EncodeToString(r.Signature) }
 
 // testHooks are synchronization points for the kill/restart tests: they
 // let a test block the runner at a deterministic spot (mid-acquisition,

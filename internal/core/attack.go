@@ -140,6 +140,10 @@ const MaxBeam = maxTopK
 // are applied — what the extend/prune phases actually run with.
 func (c Config) EffectiveTopK() int { return c.withDefaults().TopK }
 
+// escalationBeam is the beam a weak-prune value's mantissa attack re-runs
+// with: TopK×8, capped at maxTopK.
+func (c Config) escalationBeam() int { return min(c.TopK*8, maxTopK) }
+
 // ValueResult reports one recovered 64-bit coefficient with per-phase
 // diagnostics.
 type ValueResult struct {
@@ -183,38 +187,52 @@ func assembleMant(d, c uint64) uint64 {
 	return (c<<loBits | d) & ((uint64(1) << 52) - 1)
 }
 
-// attackMagnitude recovers exponent and mantissa (everything except the
-// sign) of one secret value.
-func attackMagnitude(obs []emleak.Observation, coeff int, part Part, cfg Config) magnitude {
-	biasedExp, expCorr, expAlts := attackExponent(obs, coeff, part)
-	d, c, pruneCorr, gap := mantissa(obs, coeff, part, cfg)
-	escalated := false
-	if pruneCorr < cfg.EscalateBelow && cfg.TopK < maxTopK {
-		big := cfg
-		big.TopK = min(cfg.TopK*8, maxTopK)
-		if d2, c2, p2, g2 := mantissa(obs, coeff, part, big); p2 > pruneCorr {
-			d, c, pruneCorr, gap = d2, c2, p2, g2
-			escalated = true
-		}
-	}
-	return magnitude{
-		biasedExp: biasedExp,
-		expAlts:   expAlts,
-		mant:      assembleMant(d, c),
-		expCorr:   expCorr,
-		pruneCorr: pruneCorr,
-		gap:       gap,
-		escalated: escalated,
+// setMant takes the mantissa and prune diagnostics of a mantissa attack.
+func (m *magnitude) setMant(o mantOut) {
+	m.mant = assembleMant(o.d, o.c)
+	m.pruneCorr = o.corr
+	m.gap = o.gap
+}
+
+// valueResult reports the signed value v with its magnitude's diagnostics.
+// It is Significant when the sign, exponent and prune correlations all
+// reach thr, the Fisher-z threshold for the campaign.
+func valueResult(v fpr.FPR, m magnitude, signCorr, thr float64, traces int) ValueResult {
+	return ValueResult{
+		Value:           v,
+		SignCorr:        signCorr,
+		ExpCorr:         m.expCorr,
+		ExpAlternatives: m.expAlts,
+		PruneCorr:       m.pruneCorr,
+		RunnerUpGap:     m.gap,
+		Escalated:       m.escalated,
+		Significant:     signCorr >= thr && m.expCorr >= thr && m.pruneCorr >= thr,
+		TracesUsed:      traces,
 	}
 }
 
-// mantissa runs the extend-and-prune pipeline for both halves.
-func mantissa(obs []emleak.Observation, coeff int, part Part, cfg Config) (d, c uint64, corr, gap float64) {
-	dCands := extendHalf(obs, coeff, part, loBits, false, cfg)
-	cCands := extendHalf(obs, coeff, part, hiBits, true, cfg)
-	j := newPruneJob(coeff, part, dCands, cCands)
-	feedSlice(obs, j)
-	return j.result()
+// attackMagnitude recovers exponent and mantissa (everything except the
+// sign) of one secret value.
+func attackMagnitude(obs []emleak.Observation, coeff int, part Part, cfg Config) magnitude {
+	var m magnitude
+	m.biasedExp, m.expCorr, m.expAlts = attackExponent(obs, coeff, part)
+	m.setMant(mantissa(obs, coeff, part, cfg))
+	if m.pruneCorr < cfg.EscalateBelow && cfg.TopK < maxTopK {
+		big := cfg
+		big.TopK = cfg.escalationBeam()
+		if o := mantissa(obs, coeff, part, big); o.corr > m.pruneCorr {
+			m.setMant(o)
+			m.escalated = true
+		}
+	}
+	return m
+}
+
+// mantissa runs the extend-and-prune pipeline for both halves: the staged
+// attack's runMantissa on one item. A SliceSource cannot fail.
+func mantissa(obs []emleak.Observation, coeff int, part Part, cfg Config) mantOut {
+	outs, _ := runMantissa(sliceSource(obs), []mantItem{{idx: 2*coeff + int(part), cfg: cfg}}, 1)
+	return outs[0]
 }
 
 // AttackValue recovers the secret FPR at (coeff, part) from the campaign,
@@ -229,18 +247,7 @@ func AttackValue(obs []emleak.Observation, coeff int, part Part, cfg Config) (Va
 	mag := attackMagnitude(obs, coeff, part, cfg)
 	sign, signCorr := attackSign(obs, coeff, part)
 	value := fpr.FPR(uint64(sign)<<63) | mag.abs()
-	thr := cpa.Threshold(cfg.Confidence, len(obs))
-	return ValueResult{
-		Value:           value,
-		SignCorr:        signCorr,
-		ExpCorr:         mag.expCorr,
-		ExpAlternatives: mag.expAlts,
-		PruneCorr:       mag.pruneCorr,
-		RunnerUpGap:     mag.gap,
-		Escalated:       mag.escalated,
-		Significant:     signCorr >= thr && mag.expCorr >= thr && mag.pruneCorr >= thr,
-		TracesUsed:      len(obs),
-	}, nil
+	return valueResult(value, mag, signCorr, cpa.Threshold(cfg.Confidence, len(obs)), len(obs)), nil
 }
 
 // AttackCoefficient recovers the full complex coefficient k of FFT(f):
@@ -260,20 +267,10 @@ func AttackCoefficient(obs []emleak.Observation, coeff int, cfg Config) (fft.Cpl
 	re := fpr.FPR(uint64(sRe)<<63) | magRe.abs()
 	im := fpr.FPR(uint64(sIm)<<63) | magIm.abs()
 	thr := cpa.Threshold(cfg.Confidence, len(obs))
-	mk := func(m magnitude, v fpr.FPR) ValueResult {
-		return ValueResult{
-			Value:           v,
-			SignCorr:        signCorr,
-			ExpCorr:         m.expCorr,
-			ExpAlternatives: m.expAlts,
-			PruneCorr:       m.pruneCorr,
-			RunnerUpGap:     m.gap,
-			Escalated:       m.escalated,
-			Significant:     signCorr >= thr && m.expCorr >= thr && m.pruneCorr >= thr,
-			TracesUsed:      len(obs),
-		}
-	}
-	return fft.Cplx{Re: re, Im: im}, [2]ValueResult{mk(magRe, re), mk(magIm, im)}, nil
+	return fft.Cplx{Re: re, Im: im}, [2]ValueResult{
+		valueResult(re, magRe, signCorr, thr, len(obs)),
+		valueResult(im, magIm, signCorr, thr, len(obs)),
+	}, nil
 }
 
 // attackSign runs the two-hypothesis DEMA on the sign-XOR micro-ops of
@@ -325,18 +322,6 @@ func abs(v int) int {
 type candidate struct {
 	value uint64
 	corr  float64
-}
-
-// extendHalf runs the extend phase over an in-memory campaign (one pass
-// per round; see extendState).
-func extendHalf(obs []emleak.Observation, coeff int, part Part, width int, high bool, cfg Config) []candidate {
-	s := newExtendState(coeff, part, width, high, cfg)
-	for !s.done() {
-		j := s.beginRound()
-		feedSlice(obs, j)
-		s.endRound()
-	}
-	return s.cands
 }
 
 // PrimaryWindow exposes the part's primary multiplication window index

@@ -10,6 +10,7 @@ import (
 	"falcondown/internal/fft"
 	"falcondown/internal/fpr"
 	"falcondown/internal/rng"
+	"falcondown/internal/tracestore"
 )
 
 // deviceFor builds a victim device around a fresh FALCON key.
@@ -76,7 +77,7 @@ func TestAttackNoTraces(t *testing.T) {
 	if _, err := AttackValue(nil, 0, PartRe, Config{}); !errors.Is(err, errNoTraces) {
 		t.Fatalf("expected errNoTraces, got %v", err)
 	}
-	if _, _, err := AttackFFTf(nil, Config{}); !errors.Is(err, errNoTraces) {
+	if _, _, err := AttackFFTfFrom(tracestore.NewSliceSource(8, nil), Config{}); !errors.Is(err, errNoTraces) {
 		t.Fatalf("expected errNoTraces, got %v", err)
 	}
 }

@@ -57,12 +57,12 @@ func awkwardCorpus(obs []emleak.Observation, nonFinite int) []emleak.Observation
 // fusedCase builds a fresh zero-state instance of one fused job.
 type fusedCase struct {
 	name string
-	mk   func() wireJob
+	mk   func() job
 }
 
 func fusedCases() []fusedCase {
 	cases := []fusedCase{
-		{"exp", func() wireJob { return newExpJob(1, PartIm) }},
+		{"exp", func() job { return newExpJob(1, PartIm) }},
 	}
 	// Candidate counts around the unroll width of four.
 	for _, nc := range []int{1, 3, 6, 33} {
@@ -72,7 +72,7 @@ func fusedCases() []fusedCase {
 		}
 		for _, high := range []bool{false, true} {
 			cases = append(cases, fusedCase{fmt.Sprintf("extend/high=%v/cands=%d", high, nc),
-				func() wireJob { return newExtendRoundJob(2, PartRe, high, next, 1<<10-1) }})
+				func() job { return newExtendRoundJob(2, PartRe, high, next, 1<<10-1) }})
 		}
 	}
 	for _, np := range []int{1, 3, 7} {
@@ -81,12 +81,12 @@ func fusedCases() []fusedCase {
 			pairs[i] = mantPair{d: uint64(i*0x2545f491+3) & (1<<loBits - 1), c: uint64(1)<<(hiBits-1) | uint64(i*0x9e3779b9)&(1<<(hiBits-1)-1)}
 		}
 		cases = append(cases, fusedCase{fmt.Sprintf("prune/pairs=%d", np),
-			func() wireJob { return pruneJobFromPairs(0, PartIm, pairs) }})
+			func() job { return pruneJobFromPairs(0, PartIm, pairs) }})
 	}
 	return cases
 }
 
-func jobStateBytes(t *testing.T, j wireJob) string {
+func jobStateBytes(t *testing.T, j job) string {
 	t.Helper()
 	b, err := json.Marshal(j.state())
 	if err != nil {
@@ -171,8 +171,8 @@ func TestRecycledPartialsDoNotLeak(t *testing.T) {
 	dev, _, _ := deviceFor(t, 8, 2.0, 75)
 	obs := collect(t, dev, 11*shardObs+5, 76)
 	src := tracestore.NewSliceSource(8, obs)
-	kinds := func() []wireJob {
-		jobs := []wireJob{
+	kinds := func() []job {
+		jobs := []job{
 			newSignJob(3, PartIm),
 			newJointSignJob(1, fpr.FPR(0x3ff8000000000000), fpr.FPR(0x4008000000000000)),
 			&welfordJob{},
@@ -182,20 +182,13 @@ func TestRecycledPartialsDoNotLeak(t *testing.T) {
 		}
 		return append(jobs, fusedCases()[len(fusedCases())-1].mk())
 	}
-	asMerge := func(ws []wireJob) []mergeJob {
-		out := make([]mergeJob, len(ws))
-		for i, w := range ws {
-			out[i] = w
-		}
-		return out
-	}
 	ref := kinds()
-	if err := serialPass(src, asMerge(ref)); err != nil {
+	if err := serialPass(src, ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
 		got := kinds()
-		if err := parallelPass(src, asMerge(got), w); err != nil {
+		if err := parallelPass(src, got, w); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -210,7 +203,7 @@ func TestRecycledPartialsDoNotLeak(t *testing.T) {
 		reused.reset()
 		accumulateShard(fresh, obs[:shardObs])
 		accumulateShard(reused, obs[:shardObs])
-		if jobStateBytes(t, fresh.(wireJob)) != jobStateBytes(t, reused.(wireJob)) {
+		if jobStateBytes(t, fresh) != jobStateBytes(t, reused) {
 			t.Fatalf("job %d (%s): a reset clone accumulates differently from a fresh one", i, j.spec().Kind)
 		}
 	}

@@ -12,14 +12,15 @@ package core
 // canonical sharded reduction (see parallel.go), so their results are
 // bit-for-bit equal.
 //
-// Each job implements mergeJob: clone() returns a zero-state accumulator
+// Every job implements job: clone() returns a zero-state accumulator
 // sharing the job's read-only configuration (targets, candidate lists,
-// sample offsets), merge() folds a clone's engine sums back in, and
-// reset() zeroes a folded clone for reuse. The exponent, extend and prune
-// jobs also implement fusedJob: their fold() is the shard-fused kernel,
-// which folds a shard straight into the job's sums with no clone, bit for
-// bit as observe into a zero-state clone plus merge would (DESIGN.md
-// §3.8). The sign, joint-sign and Welford jobs run per-trace observe.
+// sample offsets), merge() folds a clone's engine sums back in, reset()
+// zeroes a folded clone for reuse, and spec/state/fromState carry it across
+// the wire (wire.go). The exponent, extend and prune jobs also implement
+// fusedJob: their fold() is the shard-fused kernel, which folds a shard
+// straight into the job's sums with no clone, bit for bit as observe into
+// a zero-state clone plus merge would (DESIGN.md §3.8). The sign,
+// joint-sign and Welford jobs run per-trace observe.
 
 import (
 	"math"
@@ -31,34 +32,39 @@ import (
 	"falcondown/internal/fft"
 	"falcondown/internal/fpr"
 	"falcondown/internal/ntru"
+	"falcondown/internal/tracestore"
 )
 
-// passJob consumes one observation of a sequential campaign pass.
-type passJob interface {
+// job is one accumulator of a campaign pass. observe consumes one
+// observation; clone yields a zero-state accumulator sharing the job's
+// read-only configuration; merge folds a clone's sums in and must be a
+// plain field-wise combination, so folding shard partials in shard order
+// reproduces the serial pass bit-for-bit; reset returns a clone to its
+// zero state so it can carry another shard. cells counts the accumulator
+// cells one observation updates (the sweep throughput gauge). spec, state
+// and fromState are the wire form (wire.go): fromState decodes a partial
+// into a mergeable clone, validating its shapes against the receiver.
+type job interface {
 	observe(o emleak.Observation)
+	clone() job
+	merge(job)
+	reset()
+	cells() int
+	spec() JobSpec
+	state() JobState
+	fromState(st JobState) (job, error)
 }
 
-// feedSlice drives jobs from an in-memory campaign through the canonical
-// sharded reduction, so slice-fed results stay bit-identical to the
-// streamed and parallel paths. Jobs that cannot merge (none of the attack
-// jobs today) fall back to plain sequential accumulation.
-func feedSlice(obs []emleak.Observation, jobs ...passJob) {
-	mjobs := make([]mergeJob, len(jobs))
-	for i, j := range jobs {
-		mj, ok := j.(mergeJob)
-		if !ok {
-			for _, o := range obs {
-				for _, j := range jobs {
-					j.observe(o)
-				}
-			}
-			return
-		}
-		mjobs[i] = mj
-	}
-	for lo := 0; lo < len(obs); lo += shardObs {
-		foldShard(mjobs, obs[lo:min(lo+shardObs, len(obs))])
-	}
+// feedSlice drives jobs over an in-memory campaign through serialPass, so
+// slice-fed results stay bit-identical to the streamed and parallel paths.
+// A SliceSource cannot fail, so there is no error to return.
+func feedSlice(obs []emleak.Observation, jobs ...job) {
+	_ = serialPass(sliceSource(obs), jobs)
+}
+
+// sliceSource views an in-memory campaign as a Source.
+func sliceSource(obs []emleak.Observation) Source {
+	return tracestore.NewSliceSource(2*len(obs[0].CFFT), obs)
 }
 
 // signJob is the two-hypothesis DEMA on the sign-XOR micro-ops of both
@@ -89,14 +95,14 @@ func (j *signJob) observe(o emleak.Observation) {
 	}
 }
 
-func (j *signJob) clone() mergeJob { return newSignJob(j.coeff, j.part) }
+func (j *signJob) clone() job { return newSignJob(j.coeff, j.part) }
 
 func (j *signJob) reset() { resetEngines(j.engines[:]) }
 
 // cells feeds the sweep throughput gauge.
 func (j *signJob) cells() int { return 2 * 2 }
 
-func (j *signJob) merge(o mergeJob) {
+func (j *signJob) merge(o job) {
 	for w, e := range o.(*signJob).engines {
 		j.engines[w].Merge(e)
 	}
@@ -215,13 +221,13 @@ func foldExpWindow(e *cpa.Engine, base []int, ts []float64) {
 	}
 }
 
-func (j *expJob) clone() mergeJob { return newExpJob(j.coeff, j.part) }
+func (j *expJob) clone() job { return newExpJob(j.coeff, j.part) }
 
 func (j *expJob) reset() { resetEngines(j.engines[:]) }
 
 func (j *expJob) cells() int { return 2 * nExpHyp }
 
-func (j *expJob) merge(o mergeJob) {
+func (j *expJob) merge(o job) {
 	for w, e := range o.(*expJob).engines {
 		j.engines[w].Merge(e)
 	}
@@ -494,7 +500,7 @@ func foldExtendTarget(e *cpa.Engine, kns []uint64, ts []float64, next []uint64, 
 
 // clone shares the round's candidate expansion (targets, next, mask —
 // all read-only during the pass) and gets fresh engines.
-func (j *extendRoundJob) clone() mergeJob {
+func (j *extendRoundJob) clone() job {
 	engines := make([]*cpa.Engine, len(j.engines))
 	for i := range engines {
 		engines[i] = cpa.NewEngine(len(j.next))
@@ -510,7 +516,7 @@ func (j *extendRoundJob) withEngines(engines []*cpa.Engine) *extendRoundJob {
 	}
 }
 
-func (j *extendRoundJob) merge(o mergeJob) {
+func (j *extendRoundJob) merge(o job) {
 	for i, e := range o.(*extendRoundJob).engines {
 		j.engines[i].Merge(e)
 	}
@@ -648,11 +654,11 @@ func foldPruneWindow(eng []*cpa.Engine, as, bs []uint64, ts *[len(pruneOps)][sha
 }
 
 // clone shares the pair list and gets fresh engines.
-func (j *pruneJob) clone() mergeJob {
+func (j *pruneJob) clone() job {
 	return pruneJobFromPairs(j.coeff, j.part, j.pairs)
 }
 
-func (j *pruneJob) merge(o mergeJob) {
+func (j *pruneJob) merge(o job) {
 	for i, e := range o.(*pruneJob).engines {
 		j.engines[i].Merge(e)
 	}
@@ -749,7 +755,7 @@ func (j *jointSignJob) observe(o emleak.Observation) {
 
 // clone shares the candidate table and sample offsets and gets a fresh
 // matrix engine plus its own replay recorder and scratch.
-func (j *jointSignJob) clone() mergeJob {
+func (j *jointSignJob) clone() job {
 	return &jointSignJob{
 		coeff:         j.coeff,
 		cands:         j.cands,
@@ -760,7 +766,7 @@ func (j *jointSignJob) clone() mergeJob {
 	}
 }
 
-func (j *jointSignJob) merge(o mergeJob) {
+func (j *jointSignJob) merge(o job) {
 	j.eng.Merge(o.(*jointSignJob).eng)
 }
 
@@ -801,7 +807,7 @@ func moderate(ts []float64) bool {
 
 // foldByObserve is the per-trace reference fold: observe the shard into a
 // zero-state clone and merge it.
-func foldByObserve(j mergeJob, shard []emleak.Observation) {
+func foldByObserve(j job, shard []emleak.Observation) {
 	c := j.clone()
 	for _, o := range shard {
 		c.observe(o)

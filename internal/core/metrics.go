@@ -41,21 +41,12 @@ func init() {
 	}
 }
 
-// cellJob is implemented by pass jobs that report how many accumulator
-// cells (hypothesis x sample sums) one observation updates — the
-// numerator of the sweep throughput gauge.
-type cellJob interface {
-	cells() int
-}
-
 // observeCells refreshes the cell-update throughput gauge from a finished
 // pass. Jobs without cells (welford) contribute nothing.
-func observeCells(traces int, jobs []passJob, elapsed time.Duration) {
+func observeCells(traces int, jobs []job, elapsed time.Duration) {
 	cells := 0
 	for _, j := range jobs {
-		if cj, ok := j.(cellJob); ok {
-			cells += cj.cells()
-		}
+		cells += j.cells()
 	}
 	if sec := elapsed.Seconds(); sec > 0 && cells > 0 {
 		mSweepCellThroughput.Set(float64(traces) * float64(cells) / sec)
@@ -65,7 +56,7 @@ func observeCells(traces int, jobs []passJob, elapsed time.Duration) {
 // observePass records one completed sweep pass. The per-trace and
 // per-hypothesis rates campaignctl top derives come from these
 // counters plus the pass histogram's sum.
-func observePass(traces int, jobs []passJob, elapsed time.Duration) {
+func observePass(traces int, jobs []job, elapsed time.Duration) {
 	mSweepPasses.Inc()
 	mSweepTraces.Add(int64(traces))
 	mSweepJobs.Add(int64(len(jobs)))

@@ -32,7 +32,6 @@ package core
 // proves the equivalence end to end.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -50,20 +49,7 @@ import (
 // round-off pattern of every correlation in the repo.
 const shardObs = 64
 
-// mergeJob is a passJob whose accumulation distributes over corpus
-// shards: clone() yields a zero-state accumulator sharing the job's
-// read-only configuration, merge() folds a clone's sums back in, and
-// reset() returns a clone to its zero state so it can carry another
-// shard. merge must be a plain field-wise combination so that folding
-// shard partials in shard order reproduces the serial pass bit-for-bit.
-type mergeJob interface {
-	passJob
-	clone() mergeJob
-	merge(mergeJob)
-	reset()
-}
-
-// fusedJob is a mergeJob with a shard-fused kernel: fold(shard) folds the
+// fusedJob is a job with a shard-fused kernel: fold(shard) folds the
 // shard's partial into the job's own sums, bit-identical to observing the
 // shard into a zero-state clone and merging that clone (DESIGN.md §3.8).
 // On a zero-state job it therefore leaves exactly the clone's partial.
@@ -108,7 +94,7 @@ func effectiveWorkers(w int) int {
 }
 
 // fused returns j's fused kernel, or nil when j runs per-trace observe.
-func fused(j mergeJob) fusedJob {
+func fused(j job) fusedJob {
 	if f, ok := j.(fusedJob); ok && !referenceFold {
 		return f
 	}
@@ -119,7 +105,7 @@ func fused(j mergeJob) fusedJob {
 // through the fused kernel when the job has one, else observation by
 // observation. The parallel tiles and the fleet's shard partials funnel
 // through it.
-func accumulateShard(c mergeJob, shard []emleak.Observation) {
+func accumulateShard(c job, shard []emleak.Observation) {
 	if f := fused(c); f != nil {
 		f.fold(shard)
 		return
@@ -130,9 +116,9 @@ func accumulateShard(c mergeJob, shard []emleak.Observation) {
 }
 
 // foldShard folds one shard's partial into each job — the canonical
-// per-shard step of the serial path and feedSlice. A fused job folds in
-// place; any other job accumulates a zero-state clone and merges it.
-func foldShard(jobs []mergeJob, shard []emleak.Observation) {
+// per-shard step of the serial path. A fused job folds in place; any other
+// job accumulates a zero-state clone and merges it.
+func foldShard(jobs []job, shard []emleak.Observation) {
 	sp := obs.StartSpan(mSweepShardSeconds)
 	for _, j := range jobs {
 		if f := fused(j); f != nil {
@@ -144,48 +130,16 @@ func foldShard(jobs []mergeJob, shard []emleak.Observation) {
 	sp.End()
 }
 
-// forEachShard drives fn over the corpus in canonical shards using a
-// plain sequential iterator, retrying transient errors with the sweep
-// backoff contract.
+// forEachShard walks src in canonical shards under the sweep's transient
+// retry schedule (tracestore.ForEachBatch); fn must not keep the shard.
 func forEachShard(src Source, fn func(shard []emleak.Observation) error) error {
-	it, err := src.Iterate()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	shard := make([]emleak.Observation, 0, shardObs)
-	attempts := 0
-	for {
-		o, err := it.Next()
-		if err == io.EOF {
-			if len(shard) > 0 {
-				return fn(shard)
-			}
-			return nil
-		}
-		if err != nil {
-			if errors.Is(err, tracestore.ErrTransient) && attempts < len(sweepBackoff) {
-				time.Sleep(sweepBackoff[attempts])
-				attempts++
-				continue
-			}
-			return err
-		}
-		attempts = 0
-		shard = append(shard, o)
-		if len(shard) == shardObs {
-			if err := fn(shard); err != nil {
-				return err
-			}
-			shard = shard[:0]
-		}
-	}
+	return tracestore.ForEachBatch(src, shardObs, sweepBackoff, fn)
 }
 
 // serialPass is the single-threaded reference implementation of the
 // canonical reduction: shard, accumulate, fold, in corpus order. The
 // differential suite compares every parallel run against it.
-func serialPass(src Source, jobs []mergeJob) error {
+func serialPass(src Source, jobs []job) error {
 	return forEachShard(src, func(shard []emleak.Observation) error {
 		foldShard(jobs, shard)
 		return nil
@@ -193,12 +147,11 @@ func serialPass(src Source, jobs []mergeJob) error {
 }
 
 // runPass drives one logical campaign pass for all jobs with the given
-// worker count (≤0 meaning GOMAXPROCS). Jobs that support merging run
-// through the canonical sharded reduction — serially for one worker,
-// via the tiled parallel engine otherwise — so the result bits never
-// depend on the worker count. Jobs that do not support merging fall back
-// to a plain sequential sweep.
-func runPass(src Source, jobs []passJob, workers int) error {
+// worker count (≤0 meaning GOMAXPROCS) through the canonical sharded
+// reduction: across the fleet when src carries a distributor, else
+// serially for one worker and via the tiled parallel engine otherwise —
+// so the result bits never depend on the topology.
+func runPass(src Source, jobs []job, workers int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -206,29 +159,18 @@ func runPass(src Source, jobs []passJob, workers int) error {
 		start := time.Now()
 		defer func() { observePass(src.Count(), jobs, time.Since(start)) }()
 	}
-	mjobs := make([]mergeJob, len(jobs))
-	for i, j := range jobs {
-		mj, ok := j.(mergeJob)
-		if !ok {
-			return sweep(src, jobs)
-		}
-		mjobs[i] = mj
-	}
 	if ds, ok := src.(*distSource); ok {
-		if p, wired := newDistPass(ds, mjobs); wired {
-			if err := ds.dist.RunPass(p); err != nil {
-				return err
-			}
-			return p.incomplete()
+		p := newDistPass(ds, jobs)
+		if err := ds.dist.RunPass(p); err != nil {
+			return err
 		}
-		// A job that cannot cross the wire runs against the local view.
-		src = ds.Source
+		return p.incomplete()
 	}
 	workers = effectiveWorkers(workers)
 	if workers <= 1 {
-		return serialPass(src, mjobs)
+		return serialPass(src, jobs)
 	}
-	return parallelPass(src, mjobs, workers)
+	return parallelPass(src, jobs, workers)
 }
 
 // tile is one unit of parallel work: accumulate one corpus shard into
@@ -248,24 +190,24 @@ type tile struct {
 // than one per shard.
 type blockFolder struct {
 	mu      sync.Mutex
-	jobs    []mergeJob
+	jobs    []job
 	next    int
-	pending map[int][]mergeJob
-	free    [][]mergeJob
+	pending map[int][]job
+	free    [][]job
 }
 
 // partial returns zero-state partials of the block's jobs: a folded set
 // from the free list, reset, or fresh clones.
-func (f *blockFolder) partial() []mergeJob {
+func (f *blockFolder) partial() []job {
 	f.mu.Lock()
-	var p []mergeJob
+	var p []job
 	if n := len(f.free); n > 0 {
 		p = f.free[n-1]
 		f.free = f.free[:n-1]
 	}
 	f.mu.Unlock()
 	if p == nil {
-		p = make([]mergeJob, len(f.jobs))
+		p = make([]job, len(f.jobs))
 		for i, j := range f.jobs {
 			p[i] = j.clone()
 		}
@@ -277,11 +219,11 @@ func (f *blockFolder) partial() []mergeJob {
 	return p
 }
 
-func (f *blockFolder) deposit(shard int, partial []mergeJob) {
+func (f *blockFolder) deposit(shard int, partial []job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.pending == nil {
-		f.pending = make(map[int][]mergeJob)
+		f.pending = make(map[int][]job)
 	}
 	f.pending[shard] = partial
 	for {
@@ -306,19 +248,13 @@ func (f *blockFolder) deposit(shard int, partial []mergeJob) {
 // depend on the worker count — each job's partials are folded in shard
 // order regardless of which block (or worker) carried it, so the bits
 // cannot.
-func parallelPass(src Source, jobs []mergeJob, workers int) error {
+func parallelPass(src Source, jobs []job, workers int) error {
 	nBlocks := min(len(jobs), workers)
 	per := (len(jobs) + nBlocks - 1) / nBlocks
 	folders := make([]*blockFolder, 0, nBlocks)
 	for lo := 0; lo < len(jobs); lo += per {
 		folders = append(folders, &blockFolder{jobs: jobs[lo:min(lo+per, len(jobs))]})
 	}
-
-	bi, err := tracestore.IterateBatches(src, shardObs, 2*workers, sweepBackoff)
-	if err != nil {
-		return err
-	}
-	defer bi.Close()
 
 	tiles := make(chan tile, workers)
 	var wg sync.WaitGroup
@@ -339,25 +275,32 @@ func parallelPass(src Source, jobs []mergeJob, workers int) error {
 		}()
 	}
 
-	var readErr error
-	shard := 0
-	for {
-		obs, err := bi.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
+	readErr := prefetchShards(src, workers, func(k int, shard []emleak.Observation) {
 		for b := range folders {
-			tiles <- tile{shard: shard, obs: obs, block: b}
+			tiles <- tile{shard: k, obs: shard, block: b}
 		}
-		shard++
-	}
+	})
 	close(tiles)
 	wg.Wait()
 	return readErr
+}
+
+// prefetchShards hands send every canonical shard of src with its index,
+// in corpus order, from a reader that decodes up to 2·workers shards
+// ahead; send may keep the shard. It returns the pass's error.
+func prefetchShards(src Source, workers int, send func(k int, shard []emleak.Observation)) error {
+	bi := tracestore.IterateBatches(src, shardObs, 2*workers, sweepBackoff)
+	defer bi.Close()
+	for k := 0; ; k++ {
+		shard, err := bi.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		send(k, shard)
+	}
 }
 
 // parallelMap drives fn once per observation, tagged with its corpus
@@ -377,11 +320,6 @@ func parallelMap(src Source, workers int, fn func(idx int, o emleak.Observation)
 			return nil
 		})
 	}
-	bi, err := tracestore.IterateBatches(src, shardObs, 2*workers, sweepBackoff)
-	if err != nil {
-		return err
-	}
-	defer bi.Close()
 	type span struct {
 		base int
 		obs  []emleak.Observation
@@ -399,20 +337,9 @@ func parallelMap(src Source, workers int, fn func(idx int, o emleak.Observation)
 			}
 		}()
 	}
-	var readErr error
-	base := 0
-	for {
-		obs, err := bi.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		spans <- span{base: base, obs: obs}
-		base += len(obs)
-	}
+	readErr := prefetchShards(src, workers, func(k int, shard []emleak.Observation) {
+		spans <- span{base: k * shardObs, obs: shard}
+	})
 	close(spans)
 	wg.Wait()
 	return readErr

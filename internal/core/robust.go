@@ -159,7 +159,7 @@ func medianOf(vals []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// welfordJob accumulates per-sample Welford statistics as a mergeJob, so
+// welfordJob accumulates per-sample Welford statistics as a job, so
 // the preprocessing statistics ride the same canonical sharded reduction
 // as the attack passes: clones fold their shard partials in shard order
 // (Chan's combination in RunningStats.Merge), making the derived plan a
@@ -192,14 +192,17 @@ func (j *welfordJob) observe(o emleak.Observation) {
 	}
 }
 
-func (j *welfordJob) clone() mergeJob {
+func (j *welfordJob) clone() job {
 	return &welfordJob{transform: j.transform, clamp: j.clamp}
 }
 
 // reset zeroes a folded clone's statistics for reuse.
 func (j *welfordJob) reset() { clear(j.stats) }
 
-func (j *welfordJob) merge(o mergeJob) {
+// cells is 0: the Welford pass updates no hypothesis cells.
+func (j *welfordJob) cells() int { return 0 }
+
+func (j *welfordJob) merge(o job) {
 	ow := o.(*welfordJob)
 	if ow.stats == nil {
 		return
@@ -215,7 +218,7 @@ func (j *welfordJob) merge(o mergeJob) {
 // sampleStats accumulates per-sample mean/m2 over one pass of src.
 func sampleStats(src Source, transform *robustSource, clamp bool, workers int) (mean, m2 []float64, n int, err error) {
 	j := &welfordJob{transform: transform, clamp: clamp}
-	if err := runPass(src, []passJob{j}, workers); err != nil {
+	if err := runPass(src, []job{j}, workers); err != nil {
 		return nil, nil, 0, err
 	}
 	if j.stats == nil {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"errors"
-	"io"
 	"time"
 
 	"falcondown/internal/cpa"
-	"falcondown/internal/emleak"
 	"falcondown/internal/fft"
 	"falcondown/internal/fpr"
 	"falcondown/internal/tracestore"
@@ -23,37 +20,6 @@ type Source = tracestore.Source
 // sweepBackoff is the bounded retry schedule for transient iterator
 // errors (tracestore.ErrTransient); a variable so tests can tighten it.
 var sweepBackoff = []time.Duration{1 * time.Millisecond, 5 * time.Millisecond, 25 * time.Millisecond}
-
-// sweep feeds every job one sequential pass over the corpus. A Next that
-// fails with tracestore.ErrTransient is retried with bounded backoff —
-// an attack hours into a campaign should survive an I/O hiccup — on the
-// contract that a transient failure has not consumed an observation.
-func sweep(src Source, jobs []passJob) error {
-	it, err := src.Iterate()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	attempts := 0
-	for {
-		o, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if errors.Is(err, tracestore.ErrTransient) && attempts < len(sweepBackoff) {
-				time.Sleep(sweepBackoff[attempts])
-				attempts++
-				continue
-			}
-			return err
-		}
-		attempts = 0
-		for _, j := range jobs {
-			j.observe(o)
-		}
-	}
-}
 
 // mantItem names one value (index 2·coeff + part) and the beam
 // configuration for its mantissa attack.
@@ -83,7 +49,7 @@ func runMantissa(src Source, items []mantItem, workers int) ([]mantOut, error) {
 		states = append(states, los[i], his[i])
 	}
 	for {
-		var jobs []passJob
+		var jobs []job
 		var active []*extendState
 		for _, s := range states {
 			if !s.done() {
@@ -102,7 +68,7 @@ func runMantissa(src Source, items []mantItem, workers int) ([]mantOut, error) {
 		}
 	}
 	pjobs := make([]*pruneJob, len(items))
-	jobs := make([]passJob, len(items))
+	jobs := make([]job, len(items))
 	for i, it := range items {
 		pjobs[i] = newPruneJob(it.idx/2, Part(it.idx%2), los[i].cands, his[i].cands)
 		jobs[i] = pjobs[i]
@@ -117,15 +83,6 @@ func runMantissa(src Source, items []mantItem, workers int) ([]mantOut, error) {
 	return out, nil
 }
 
-// AttackFFTf recovers the full FFT(f) vector from an in-memory campaign —
-// a thin wrapper over the streamed attack.
-func AttackFFTf(obs []emleak.Observation, cfg Config) ([]fft.Cplx, []ValueResult, error) {
-	if len(obs) == 0 {
-		return nil, nil, errNoTraces
-	}
-	return AttackFFTfFrom(tracestore.NewSliceSource(2*len(obs[0].CFFT), obs), cfg)
-}
-
 // AttackFFTfFrom recovers the full FFT(f) vector (all real and imaginary
 // parts) from a streamed campaign. All values advance through the attack
 // phases together — exponents, extend rounds, prune, joint signs — with
@@ -135,12 +92,6 @@ func AttackFFTf(obs []emleak.Observation, cfg Config) ([]fft.Cplx, []ValueResult
 // are re-attacked with a much larger candidate beam.
 func AttackFFTfFrom(src Source, cfg Config) ([]fft.Cplx, []ValueResult, error) {
 	return AttackFFTfResumable(src, cfg, nil)
-}
-
-// AttackFFTfDistributed is AttackFFTfResumable with every campaign pass
-// executed through dist; see RecoverKeyDistributed for the contract.
-func AttackFFTfDistributed(src Source, cfg Config, store CheckpointStore, dist Distributor) ([]fft.Cplx, []ValueResult, error) {
-	return AttackFFTfResumable(WithDistributor(src, dist), cfg, store)
 }
 
 // AttackFFTfResumable is AttackFFTfFrom with checkpointed recovery: after
@@ -294,7 +245,7 @@ func (a *attackRun) save(stage string) error {
 // stageExponents runs the exponent pass for every value.
 func (a *attackRun) stageExponents() error {
 	expJobs := make([]*expJob, a.nVals)
-	jobs := make([]passJob, a.nVals)
+	jobs := make([]job, a.nVals)
 	for v := range expJobs {
 		expJobs[v] = newExpJob(v/2, Part(v%2))
 		jobs[v] = expJobs[v]
@@ -322,21 +273,19 @@ func (a *attackRun) stageMantissa() error {
 		return err
 	}
 	for v := range a.mags {
-		a.mags[v].mant = assembleMant(outs[v].d, outs[v].c)
-		a.mags[v].pruneCorr = outs[v].corr
-		a.mags[v].gap = outs[v].gap
+		a.mags[v].setMant(outs[v])
 	}
 	return nil
 }
 
-// stageEscalation re-runs weak-prune values with a TopK×8 beam: a weak
-// prune winner usually means the extend phase dropped the true prefix.
+// stageEscalation re-runs weak-prune values with the escalation beam: a
+// weak prune winner usually means the extend phase dropped the true prefix.
 func (a *attackRun) stageEscalation() error {
 	if a.cfg.TopK >= maxTopK {
 		return nil
 	}
 	big := a.cfg
-	big.TopK = min(a.cfg.TopK*8, maxTopK)
+	big.TopK = a.cfg.escalationBeam()
 	var esc []mantItem
 	for v := range a.mags {
 		if a.mags[v].pruneCorr < a.cfg.EscalateBelow {
@@ -352,9 +301,7 @@ func (a *attackRun) stageEscalation() error {
 	}
 	for i, it := range esc {
 		if eouts[i].corr > a.mags[it.idx].pruneCorr {
-			a.mags[it.idx].mant = assembleMant(eouts[i].d, eouts[i].c)
-			a.mags[it.idx].pruneCorr = eouts[i].corr
-			a.mags[it.idx].gap = eouts[i].gap
+			a.mags[it.idx].setMant(eouts[i])
 			a.mags[it.idx].escalated = true
 		}
 	}
@@ -365,7 +312,7 @@ func (a *attackRun) stageEscalation() error {
 // the recovered values and their per-phase diagnostics.
 func (a *attackRun) stageSigns() error {
 	jjobs := make([]*jointSignJob, a.half)
-	jobs := make([]passJob, a.half)
+	jobs := make([]job, a.half)
 	for k := 0; k < a.half; k++ {
 		jjobs[k] = newJointSignJob(k, a.mags[2*k].abs(), a.mags[2*k+1].abs())
 		jobs[k] = jjobs[k]
@@ -382,18 +329,7 @@ func (a *attackRun) stageSigns() error {
 		im := fpr.FPR(uint64(sIm)<<63) | a.mags[2*k+1].abs()
 		a.out[k] = fft.Cplx{Re: re, Im: im}
 		for p, v := range []fpr.FPR{re, im} {
-			m := a.mags[2*k+p]
-			a.results[2*k+p] = ValueResult{
-				Value:           v,
-				SignCorr:        signCorr,
-				ExpCorr:         m.expCorr,
-				ExpAlternatives: m.expAlts,
-				PruneCorr:       m.pruneCorr,
-				RunnerUpGap:     m.gap,
-				Escalated:       m.escalated,
-				Significant:     signCorr >= thr && m.expCorr >= thr && m.pruneCorr >= thr,
-				TracesUsed:      a.count,
-			}
+			a.results[2*k+p] = valueResult(v, a.mags[2*k+p], signCorr, thr, a.count)
 		}
 	}
 	return nil
@@ -429,7 +365,7 @@ func (a *attackRun) ranAtMaxBeam(r ValueResult) bool {
 	if a.cfg.TopK >= maxTopK {
 		return true
 	}
-	return min(a.cfg.TopK*8, maxTopK) == maxTopK && (r.Escalated || r.PruneCorr < a.cfg.EscalateBelow)
+	return a.cfg.escalationBeam() == maxTopK && (r.Escalated || r.PruneCorr < a.cfg.EscalateBelow)
 }
 
 // retryMaxBeam re-attacks the listed value indices with the maximal
@@ -444,7 +380,6 @@ func retryMaxBeam(src Source, cfg Config, out []fft.Cplx, results []ValueResult,
 	}
 	retry := cfg.withDefaults()
 	retry.TopK = maxTopK
-	retry.EscalateBelow = -1 // beam already maximal; no inner escalation
 	workers := effectiveWorkers(retry.Workers)
 	items := make([]mantItem, len(indices))
 	for i, v := range indices {
@@ -474,7 +409,7 @@ func retryMaxBeam(src Source, cfg Config, out []fft.Cplx, results []ValueResult,
 		absRe := fpr.Abs(out[k].Re)
 		absIm := fpr.Abs(out[k].Im)
 		jj := newJointSignJob(k, absRe, absIm)
-		if err := runPass(src, []passJob{jj}, workers); err != nil {
+		if err := runPass(src, []job{jj}, workers); err != nil {
 			return improved, err
 		}
 		s0, s1, signCorr := jj.result()

@@ -40,7 +40,7 @@ func TestStreamedAttackMatchesInMemory(t *testing.T) {
 		t.Fatalf("corpus shards=%d count=%d", corpus.Shards(), corpus.Count())
 	}
 
-	memFFT, memVals, err := AttackFFTf(obs, Config{})
+	memFFT, memVals, err := AttackFFTfFrom(tracestore.NewSliceSource(n, obs), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestStreamedAttackMatchesInMemoryFalcon64(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memFFT, memVals, err := AttackFFTf(obs, Config{})
+	memFFT, memVals, err := AttackFFTfFrom(tracestore.NewSliceSource(64, obs), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

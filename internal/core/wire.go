@@ -190,18 +190,6 @@ type ShardPartial struct {
 	States []JobState `json:"states"`
 }
 
-// wireJob is a mergeJob that can cross the wire: spec() describes its
-// configuration, state() snapshots its accumulators bit-exactly, and
-// fromState decodes a partial's accumulators into a mergeable clone,
-// validating the shapes against the receiver's own configuration (a
-// corrupted or mismatched partial is an error, never a silent misfold).
-type wireJob interface {
-	mergeJob
-	spec() JobSpec
-	state() JobState
-	fromState(st JobState) (mergeJob, error)
-}
-
 // engineStates packs a list of engines.
 func engineStates(engines []*cpa.Engine) []cpa.EngineState {
 	out := make([]cpa.EngineState, len(engines))
@@ -231,7 +219,7 @@ func decodeEngines(st JobState, count, nHyp int) ([]*cpa.Engine, error) {
 	return out, nil
 }
 
-// --- wireJob implementations -------------------------------------------
+// --- the wire form of each job ------------------------------------------
 
 func (j *expJob) spec() JobSpec {
 	return JobSpec{Kind: "exp", Coeff: j.coeff, Part: int(j.part)}
@@ -241,7 +229,7 @@ func (j *expJob) state() JobState {
 	return JobState{Engines: engineStates(j.engines[:])}
 }
 
-func (j *expJob) fromState(st JobState) (mergeJob, error) {
+func (j *expJob) fromState(st JobState) (job, error) {
 	engines, err := decodeEngines(st, 2, nExpHyp)
 	if err != nil {
 		return nil, err
@@ -257,7 +245,7 @@ func (j *signJob) state() JobState {
 	return JobState{Engines: engineStates(j.engines[:])}
 }
 
-func (j *signJob) fromState(st JobState) (mergeJob, error) {
+func (j *signJob) fromState(st JobState) (job, error) {
 	engines, err := decodeEngines(st, 2, 2)
 	if err != nil {
 		return nil, err
@@ -276,7 +264,7 @@ func (j *extendRoundJob) state() JobState {
 	return JobState{Engines: engineStates(j.engines)}
 }
 
-func (j *extendRoundJob) fromState(st JobState) (mergeJob, error) {
+func (j *extendRoundJob) fromState(st JobState) (job, error) {
 	engines, err := decodeEngines(st, len(j.engines), len(j.next))
 	if err != nil {
 		return nil, err
@@ -297,7 +285,7 @@ func (j *pruneJob) state() JobState {
 	return JobState{Engines: engineStates(j.engines)}
 }
 
-func (j *pruneJob) fromState(st JobState) (mergeJob, error) {
+func (j *pruneJob) fromState(st JobState) (job, error) {
 	engines, err := decodeEngines(st, len(j.engines), len(j.pairs))
 	if err != nil {
 		return nil, err
@@ -318,7 +306,7 @@ func (j *jointSignJob) state() JobState {
 	return JobState{Matrix: &st}
 }
 
-func (j *jointSignJob) fromState(st JobState) (mergeJob, error) {
+func (j *jointSignJob) fromState(st JobState) (job, error) {
 	if st.Matrix == nil {
 		return nil, fmt.Errorf("core: joint-sign partial without a matrix engine")
 	}
@@ -351,7 +339,7 @@ func (j *welfordJob) state() JobState {
 	return JobState{Stats: stats}
 }
 
-func (j *welfordJob) fromState(st JobState) (mergeJob, error) {
+func (j *welfordJob) fromState(st JobState) (job, error) {
 	c := j.clone().(*welfordJob)
 	if len(st.Stats) == 0 {
 		return c, nil
@@ -371,7 +359,7 @@ func (j *welfordJob) fromState(st JobState) (mergeJob, error) {
 // rebuilt job performs the identical arithmetic as the coordinator's live
 // job because every piece of read-only configuration is either shipped
 // verbatim or a pure function of the spec fields.
-func jobFromSpec(s JobSpec) (wireJob, error) {
+func jobFromSpec(s JobSpec) (job, error) {
 	switch s.Kind {
 	case "exp":
 		return newExpJob(s.Coeff, Part(s.Part)), nil
@@ -419,7 +407,7 @@ func ComputeShardPartials(raw Source, view SourceSpec, specs []JobSpec, shardLo,
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]mergeJob, len(specs))
+	jobs := make([]job, len(specs))
 	for i, s := range specs {
 		if jobs[i], err = jobFromSpec(s); err != nil {
 			return nil, err
@@ -473,36 +461,30 @@ type DistPass struct {
 	local Source
 
 	mu      sync.Mutex
-	jobs    []mergeJob
-	next    []int              // per job: next shard index to fold
-	pending []map[int]mergeJob // per job: decoded partials awaiting their turn
+	jobs    []job
+	next    []int         // per job: next shard index to fold
+	pending []map[int]job // per job: decoded partials awaiting their turn
 	nShards int
 	dups    int
 }
 
-// newDistPass prepares a pass for distribution; ok is false when any job
-// cannot cross the wire (the caller then runs the pass locally).
-func newDistPass(ds *distSource, jobs []mergeJob) (*DistPass, bool) {
+// newDistPass prepares a pass for distribution.
+func newDistPass(ds *distSource, jobs []job) *DistPass {
 	specs := make([]JobSpec, len(jobs))
 	for i, j := range jobs {
-		wj, ok := j.(wireJob)
-		if !ok {
-			return nil, false
-		}
-		specs[i] = wj.spec()
+		specs[i] = j.spec()
 	}
 	view := ds.view
 	view.Pin = ds.pin
-	p := &DistPass{
+	return &DistPass{
 		view:    view,
 		specs:   specs,
 		local:   ds.Source,
 		jobs:    jobs,
 		next:    make([]int, len(jobs)),
-		pending: make([]map[int]mergeJob, len(jobs)),
+		pending: make([]map[int]job, len(jobs)),
 		nShards: (ds.Source.Count() + shardObs - 1) / shardObs,
 	}
-	return p, true
 }
 
 // View returns the corpus view workers must rebuild.
@@ -540,9 +522,9 @@ func (p *DistPass) Deposit(jobLo int, sp ShardPartial) error {
 	}
 	// Decode and validate the whole block before touching fold state, so a
 	// partial that is half-good never half-folds.
-	decoded := make([]mergeJob, len(sp.States))
+	decoded := make([]job, len(sp.States))
 	for i, st := range sp.States {
-		d, err := p.jobs[jobLo+i].(wireJob).fromState(st)
+		d, err := p.jobs[jobLo+i].fromState(st)
 		if err != nil {
 			return err
 		}
@@ -557,7 +539,7 @@ func (p *DistPass) Deposit(jobLo int, sp ShardPartial) error {
 			continue
 		}
 		if p.pending[j] == nil {
-			p.pending[j] = make(map[int]mergeJob)
+			p.pending[j] = make(map[int]job)
 		}
 		if _, dup := p.pending[j][sp.Shard]; dup {
 			p.dups++
@@ -592,9 +574,9 @@ func (p *DistPass) Compute(shardLo, shardHi, jobLo, jobHi int) ([]ShardPartial, 
 // zero-state clones of the given live jobs and encodes the partial
 // states. One clone per job carries every shard, reset after each
 // encode.
-func computeLocalPartials(src Source, jobs []mergeJob, shardLo, shardHi int) ([]ShardPartial, error) {
+func computeLocalPartials(src Source, jobs []job, shardLo, shardHi int) ([]ShardPartial, error) {
 	var out []ShardPartial
-	var partials []mergeJob
+	var partials []job
 	idx := 0
 	err := forEachShard(src, func(shard []emleak.Observation) error {
 		k := idx
@@ -606,7 +588,7 @@ func computeLocalPartials(src Source, jobs []mergeJob, shardLo, shardHi int) ([]
 			return errStopSweep
 		}
 		if partials == nil {
-			partials = make([]mergeJob, len(jobs))
+			partials = make([]job, len(jobs))
 			for i, j := range jobs {
 				partials[i] = j.clone()
 			}
@@ -614,7 +596,7 @@ func computeLocalPartials(src Source, jobs []mergeJob, shardLo, shardHi int) ([]
 		sp := ShardPartial{Shard: k, States: make([]JobState, len(jobs))}
 		for i, c := range partials {
 			accumulateShard(c, shard)
-			sp.States[i] = c.(wireJob).state()
+			sp.States[i] = c.state()
 			c.reset()
 		}
 		out = append(out, sp)

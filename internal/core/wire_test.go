@@ -102,7 +102,7 @@ func jsonRecode(in, out any) error {
 func runAttackDistributed(t *testing.T, src Source, cfg Config, dist Distributor) ([]fft.Cplx, []ValueResult, []byte) {
 	t.Helper()
 	store := &FileCheckpoint{Path: filepath.Join(t.TempDir(), "attack.ckpt")}
-	out, vals, err := AttackFFTfDistributed(src, cfg, store, dist)
+	out, vals, err := AttackFFTfResumable(WithDistributor(src, dist), cfg, store)
 	if err != nil {
 		t.Fatalf("distributed attack: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestDistributedResumeSwitchesToLocal(t *testing.T) {
 
 	store := &FileCheckpoint{Path: filepath.Join(t.TempDir(), "attack.ckpt")}
 	d := &fakeDistributor{raw: src, shardsPer: 2}
-	_, _, err := AttackFFTfDistributed(src, Config{}, &failingStore{inner: store, remaining: 2}, d)
+	_, _, err := AttackFFTfResumable(WithDistributor(src, d), Config{}, &failingStore{inner: store, remaining: 2})
 	if !errors.Is(err, errKilled) {
 		t.Fatalf("interrupted distributed run returned %v, want simulated crash", err)
 	}

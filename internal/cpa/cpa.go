@@ -254,26 +254,6 @@ func (e *MultiEngine) Update(h []float64, t []float64) {
 	}
 }
 
-// Merge folds another windowed engine's accumulators into e (see
-// Engine.Merge for the determinism contract). Shapes must match.
-func (e *MultiEngine) Merge(o *MultiEngine) {
-	if e.nHyp != o.nHyp || e.nSamp != o.nSamp {
-		panic("cpa: Merge of MultiEngines with different shapes")
-	}
-	e.d += o.d
-	for j := range e.sumT {
-		e.sumT[j] += o.sumT[j]
-		e.sumT2[j] += o.sumT2[j]
-	}
-	for i := range e.sumH {
-		e.sumH[i] += o.sumH[i]
-		e.sumH2[i] += o.sumH2[i]
-	}
-	for i := range e.sumHT {
-		e.sumHT[i] += o.sumHT[i]
-	}
-}
-
 // Corr returns the correlation matrix [hypothesis][sample].
 func (e *MultiEngine) Corr() [][]float64 {
 	out := make([][]float64, e.nHyp)

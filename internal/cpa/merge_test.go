@@ -157,44 +157,6 @@ func TestEngineMergeShapeMismatchPanics(t *testing.T) {
 	NewEngine(2).Merge(NewEngine(3))
 }
 
-func TestMultiEngineMergeEqualsUnsplitUpdate(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	const nHyp, nSamp, d = 4, 6, 120
-	h := make([][]float64, d)
-	tr := make([][]float64, d)
-	for i := range h {
-		h[i] = make([]float64, nHyp)
-		tr[i] = make([]float64, nSamp)
-		for j := range h[i] {
-			h[i][j] = float64(r.Intn(65))
-		}
-		for j := range tr[i] {
-			tr[i][j] = float64(r.Intn(57))
-		}
-	}
-	full := NewMultiEngine(nHyp, nSamp)
-	for i := 0; i < d; i++ {
-		full.Update(h[i], tr[i])
-	}
-	for trial := 0; trial < 20; trial++ {
-		k := r.Intn(d + 1)
-		a, b := NewMultiEngine(nHyp, nSamp), NewMultiEngine(nHyp, nSamp)
-		for i := 0; i < k; i++ {
-			a.Update(h[i], tr[i])
-		}
-		for i := k; i < d; i++ {
-			b.Update(h[i], tr[i])
-		}
-		a.Merge(b)
-		fc, ac := full.Corr(), a.Corr()
-		for i := range fc {
-			if !sameBits(fc[i], ac[i]) {
-				t.Fatalf("split %d: hypothesis %d row differs", k, i)
-			}
-		}
-	}
-}
-
 func TestMatrixEngineMergeEqualsUnsplitUpdate(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	const nHyp, nSamp, d = 4, 5, 120

@@ -103,63 +103,6 @@ func EngineFromState(st EngineState) (*Engine, error) {
 	}, nil
 }
 
-// MultiEngineState is the wire form of a MultiEngine.
-type MultiEngineState struct {
-	D     int    `json:"d"`
-	NHyp  int    `json:"nHyp"`
-	NSamp int    `json:"nSamp"`
-	SumT  string `json:"sumT"`
-	SumT2 string `json:"sumT2"`
-	SumH  string `json:"sumH"`
-	SumH2 string `json:"sumH2"`
-	SumHT string `json:"sumHT"`
-}
-
-// State snapshots the windowed engine's accumulators bit-exactly.
-func (e *MultiEngine) State() MultiEngineState {
-	return MultiEngineState{
-		D:     e.d,
-		NHyp:  e.nHyp,
-		NSamp: e.nSamp,
-		SumT:  packFloats(e.sumT),
-		SumT2: packFloats(e.sumT2),
-		SumH:  packFloats(e.sumH),
-		SumH2: packFloats(e.sumH2),
-		SumHT: packFloats(e.sumHT),
-	}
-}
-
-// MultiEngineFromState rebuilds a windowed engine from its wire form.
-func MultiEngineFromState(st MultiEngineState) (*MultiEngine, error) {
-	if st.NHyp <= 0 || st.NSamp <= 0 || st.D < 0 {
-		return nil, fmt.Errorf("cpa: multi-engine state with nHyp=%d nSamp=%d d=%d", st.NHyp, st.NSamp, st.D)
-	}
-	sumT, err := unpackFloats(st.SumT, st.NSamp)
-	if err != nil {
-		return nil, err
-	}
-	sumT2, err := unpackFloats(st.SumT2, st.NSamp)
-	if err != nil {
-		return nil, err
-	}
-	sumH, err := unpackFloats(st.SumH, st.NHyp)
-	if err != nil {
-		return nil, err
-	}
-	sumH2, err := unpackFloats(st.SumH2, st.NHyp)
-	if err != nil {
-		return nil, err
-	}
-	sumHT, err := unpackFloats(st.SumHT, st.NHyp*st.NSamp)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiEngine{
-		d: st.D, nHyp: st.NHyp, nSamp: st.NSamp,
-		sumT: sumT, sumT2: sumT2, sumH: sumH, sumH2: sumH2, sumHT: sumHT,
-	}, nil
-}
-
 // MatrixEngineState is the wire form of a MatrixEngine.
 type MatrixEngineState struct {
 	D     int    `json:"d"`

@@ -98,23 +98,6 @@ func TestEngineStateRejectsCorruptShapes(t *testing.T) {
 	}
 }
 
-func TestMultiEngineStateRoundTripExact(t *testing.T) {
-	r := rng.New(1002)
-	e := NewMultiEngine(5, 9)
-	for trace := 0; trace < 30; trace++ {
-		e.Update(awkwardFloats(r, 5), awkwardFloats(r, 9))
-	}
-	var st MultiEngineState
-	jsonRoundTrip(t, e.State(), &st)
-	got, err := MultiEngineFromState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e.State(), got.State()) {
-		t.Fatal("multi-engine state round trip is not the identity")
-	}
-}
-
 func TestMatrixEngineStateRoundTripExact(t *testing.T) {
 	r := rng.New(1003)
 	e := NewMatrixEngine(4, 7)

@@ -241,9 +241,3 @@ func (d *Device) ObserveMul(cFFT []fft.Cplx) (Observation, error) {
 	}
 	return Observation{CFFT: cFFT, Trace: Trace{Samples: rec.samples}}, nil
 }
-
-// SecretForTest exposes the device secret to white-box tests and ground
-// truth checks in the experiment harness (never to the attack code).
-func (d *Device) SecretForTest() []fft.Cplx {
-	return append([]fft.Cplx(nil), d.secret...)
-}

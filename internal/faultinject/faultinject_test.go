@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,7 +121,9 @@ func TestQuarantinedChunkFullRecovery(t *testing.T) {
 
 // TestTransientFaultsRetriedMidAttack proves the sweep retry: a source
 // that periodically throws transient I/O errors yields the same attack
-// results, bit-for-bit, as a clean one.
+// results, bit-for-bit, as a clean one. One worker walks the corpus on
+// the attack's goroutine and two walk it on the prefetch reader, so both
+// consumers of the shared walker run.
 func TestTransientFaultsRetriedMidAttack(t *testing.T) {
 	dev, _, _ := victim(t, 2.0)
 	obs := collect(t, dev, 400)
@@ -130,35 +133,42 @@ func TestTransientFaultsRetriedMidAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := NewSource(tracestore.NewSliceSource(8, obs), 151, 0)
-	gotFFT, gotVals, err := core.AttackFFTfFrom(flaky, core.Config{})
-	if err != nil {
-		t.Fatalf("attack over a transiently failing source: %v", err)
-	}
-	for k := range wantFFT {
-		if wantFFT[k] != gotFFT[k] {
-			t.Fatalf("coefficient %d differs under transient faults", k)
-		}
-	}
-	for v := range wantVals {
-		if wantVals[v].Value != gotVals[v].Value || wantVals[v].PruneCorr != gotVals[v].PruneCorr {
-			t.Fatalf("value %d differs under transient faults", v)
-		}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			flaky := NewSource(tracestore.NewSliceSource(8, obs), 151, 0)
+			gotFFT, gotVals, err := core.AttackFFTfFrom(flaky, core.Config{Workers: workers})
+			if err != nil {
+				t.Fatalf("attack over a transiently failing source: %v", err)
+			}
+			for k := range wantFFT {
+				if wantFFT[k] != gotFFT[k] {
+					t.Fatalf("coefficient %d differs under transient faults", k)
+				}
+			}
+			for v := range wantVals {
+				if wantVals[v].Value != gotVals[v].Value || wantVals[v].PruneCorr != gotVals[v].PruneCorr {
+					t.Fatalf("value %d differs under transient faults", v)
+				}
+			}
+		})
 	}
 }
 
 // TestPersistentTransientsGiveUp: when every read faults, the bounded
-// backoff must exhaust and surface a typed error instead of spinning.
+// backoff must exhaust and surface a typed error instead of spinning, on
+// either consumer of the shared walker.
 func TestPersistentTransientsGiveUp(t *testing.T) {
 	dev, _, _ := victim(t, 2.0)
 	obs := collect(t, dev, 50)
-	src := NewSource(tracestore.NewSliceSource(8, obs), 1, 0) // all calls fault, forever
-	_, _, err := core.AttackFFTfFrom(src, core.Config{})
-	if err == nil {
-		t.Fatal("attack succeeded over a source that never delivers")
-	}
-	if !errors.Is(err, tracestore.ErrTransient) {
-		t.Fatalf("got %v, want a tracestore.ErrTransient chain", err)
+	for _, workers := range []int{1, 2} {
+		src := NewSource(tracestore.NewSliceSource(8, obs), 1, 0) // all calls fault, forever
+		_, _, err := core.AttackFFTfFrom(src, core.Config{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: attack succeeded over a source that never delivers", workers)
+		}
+		if !errors.Is(err, tracestore.ErrTransient) {
+			t.Fatalf("workers=%d: got %v, want a tracestore.ErrTransient chain", workers, err)
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // Online quality gate. Discovering dirty traces at attack time wastes a
-// whole campaign; the gate inspects every observation at write time —
-// in commit order, inside the collector, so verdicts are deterministic —
-// and flags saturated, energy-anomalous and desynchronized captures into
-// the campaign's CorpusHealth. Flagged observations are still written
+// whole campaign; the gate inspects every observation at write time — in
+// commit order, in the pool's committing Appender, so verdicts are
+// deterministic — and flags saturated, energy-anomalous and
+// desynchronized captures into the campaign's CorpusHealth. Flagged observations are still written
 // (resume offsets must not depend on verdicts); the attack masks them
 // out via tracestore.NewMaskedSource.
 
@@ -58,9 +58,9 @@ func (c GateConfig) withDefaults() GateConfig {
 	return c
 }
 
-// gate holds the rolling statistics. It is driven from the collector
-// goroutine only, in commit order, so it needs no locking and its
-// verdicts are a pure function of the committed prefix.
+// gate holds the rolling statistics. It is driven from the acquisition's
+// collector goroutine only, in commit order, so it needs no locking and
+// its verdicts are a pure function of the committed prefix.
 type gate struct {
 	cfg   GateConfig
 	alpha float64

@@ -16,8 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,10 +94,6 @@ type PoolOptions struct {
 	// Progress, when set, is called after each committed observation
 	// with the number done so far (including Start) and the total.
 	Progress func(done, total int)
-
-	// afterClaim, set only by tests, runs after a worker claims index idx;
-	// windowFull reports whether every reorder-window slot is taken.
-	afterClaim func(idx int, windowFull func() bool)
 }
 
 // Report summarizes a supervised acquisition: per-device breaker state
@@ -140,24 +134,17 @@ type pool struct {
 
 // AcquirePool runs a known-plaintext campaign of count measurements
 // against a pool of devices and streams observations [opts.Start, count)
-// into w in index order. Every observation is a pure function of
-// (seed, index), so the committed corpus is byte-identical to a
-// single-device tracestore.Acquire run regardless of worker count,
-// device misbehavior, failover, hedging or resume splits. The returned
-// Report is best-effort diagnostics (breaker states, retry counts, gate
-// verdicts) and is returned even when acquisition fails partway.
+// into w in index order, through tracestore.AcquireIndexed with the pool's
+// retry/failover loop as every worker's measurement. Every observation is
+// a pure function of (seed, index), so the committed corpus is
+// byte-identical to a single-device tracestore.Acquire run regardless of
+// worker count, device misbehavior, failover, hedging or resume splits.
+// The returned Report is best-effort diagnostics (breaker states, retry
+// counts, gate verdicts) and is returned even when acquisition fails
+// partway.
 func AcquirePool(ctx context.Context, devices []Device, seed uint64, count int, w tracestore.Appender, opts PoolOptions) (*Report, error) {
 	if len(devices) == 0 {
 		return nil, errors.New("supervise: empty device pool")
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("supervise: negative campaign size %d", count)
-	}
-	if opts.Start < 0 {
-		return nil, fmt.Errorf("supervise: negative resume index %d", opts.Start)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	n := devices[0].N()
 	for i, d := range devices {
@@ -182,7 +169,15 @@ func AcquirePool(ctx context.Context, devices []Device, seed uint64, count int, 
 	}
 
 	report := &Report{}
-	err := p.run(ctx, count, w, report)
+	gw := &gatedAppender{w: w, next: opts.Start, health: &report.Health}
+	if opts.Gate.Enabled() {
+		gw.gate = newGate(opts.Gate)
+	}
+	err := tracestore.AcquireIndexed(ctx, count, gw, tracestore.AcquireOptions{
+		Workers:  opts.Workers,
+		Start:    opts.Start,
+		Progress: opts.Progress,
+	}, func() func(context.Context, uint64) (emleak.Observation, error) { return p.measure })
 	report.Retried = int(p.retried.Load())
 	report.Hedged = int(p.hedged.Load())
 	report.Breakers = make([]BreakerStatus, len(devices))
@@ -192,125 +187,30 @@ func AcquirePool(ctx context.Context, devices []Device, seed uint64, count int, 
 	return report, err
 }
 
-// run is the worker/collector pipeline, mirroring tracestore.Acquire:
-// workers pull indices from an atomic counter, a bounded reorder window
-// caps how far any worker runs ahead, and the collector commits strictly
-// in index order — the quality gate rides the collector so its rolling
-// statistics see the campaign in commit order.
-func (p *pool) run(ctx context.Context, count int, w tracestore.Appender, report *Report) error {
-	todo := count - p.opts.Start
-	if todo <= 0 {
-		return nil
-	}
-	workers := p.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > todo {
-		workers = todo
-	}
+// gatedAppender is the pool's commit step: it runs the quality gate on
+// each observation in commit order, so the gate's rolling statistics and
+// verdicts are a pure function of the committed prefix, records suspects
+// by absolute corpus index, and counts the committed observations as
+// Healthy.
+type gatedAppender struct {
+	w      tracestore.Appender
+	gate   *gate // nil when the gate is disabled
+	next   int   // absolute index of the next observation
+	health *tracestore.CorpusHealth
+}
 
-	type item struct {
-		idx int
-		obs emleak.Observation
-		err error
-	}
-	// As in tracestore.Acquire, a worker takes its reorder-window slot
-	// before it claims an index, so the lowest uncommitted index always
-	// holds a slot.
-	window := workers * 4
-	sem := make(chan struct{}, window)
-	results := make(chan item, window)
-	var next atomic.Int64
-	var failed atomic.Bool
-
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
-				i := p.opts.Start + int(next.Add(1)) - 1
-				if i >= count {
-					<-sem
-					return
-				}
-				if p.opts.afterClaim != nil {
-					p.opts.afterClaim(i, func() bool { return len(sem) == cap(sem) })
-				}
-				o, err := p.measure(ctx, uint64(i))
-				results <- item{idx: i, obs: o, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var g *gate
-	if p.opts.Gate.Enabled() {
-		g = newGate(p.opts.Gate)
-	}
-	pending := make(map[int]emleak.Observation, window)
-	want := p.opts.Start
-	var firstErr error
-	for it := range results {
-		if firstErr == nil && ctx.Err() != nil {
-			firstErr = fmt.Errorf("supervise: acquisition interrupted at %d of %d observations: %w",
-				want, count, ctx.Err())
-			failed.Store(true)
-		}
-		if firstErr != nil {
-			<-sem
-			continue // drain
-		}
-		if it.err != nil {
-			firstErr = fmt.Errorf("supervise: observation %d: %w", it.idx, it.err)
-			failed.Store(true)
-			<-sem
-			continue
-		}
-		pending[it.idx] = it.obs
-		for {
-			o, ok := pending[want]
-			if !ok {
-				break
-			}
-			delete(pending, want)
-			if g != nil {
-				if verdict := g.check(o); verdict != "" {
-					report.Health.Suspect = append(report.Health.Suspect,
-						tracestore.ObservationFault{Index: want, Reason: verdict})
-				}
-			}
-			if err := w.Append(o); err != nil {
-				firstErr = err
-				failed.Store(true)
-				break
-			}
-			want++
-			<-sem
-			if p.opts.Progress != nil {
-				p.opts.Progress(want, count)
-			}
+func (a *gatedAppender) Append(o emleak.Observation) error {
+	if a.gate != nil {
+		if verdict := a.gate.check(o); verdict != "" {
+			a.health.Suspect = append(a.health.Suspect,
+				tracestore.ObservationFault{Index: a.next, Reason: verdict})
 		}
 	}
-	report.Health.Healthy = want - p.opts.Start
-	if firstErr != nil {
-		return firstErr
+	if err := a.w.Append(o); err != nil {
+		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("supervise: acquisition interrupted at %d of %d observations: %w", want, count, err)
-	}
-	if want != count {
-		return fmt.Errorf("supervise: collector committed %d of %d observations", want-p.opts.Start, todo)
-	}
+	a.next++
+	a.health.Healthy++
 	return nil
 }
 

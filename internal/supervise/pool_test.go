@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,31 +314,60 @@ func TestAcquirePoolValidation(t *testing.T) {
 	}
 }
 
-func TestAcquirePoolLowestIndexParkedUntilWindowFull(t *testing.T) {
-	// Hold the worker that claimed the first index until every
-	// reorder-window slot is taken. A worker that claims its index before
-	// taking a slot then waits forever for a slot only its own index
-	// could free.
-	dev := poolVictim(t, 1.0)
-	want := reference(t, dev, 5, 40)
-	devices := []Device{NewIdeal(dev), NewIdeal(dev)}
-	var w sliceAppender
-	_, err := AcquirePool(context.Background(), devices, 5, 40, &w, PoolOptions{
-		Workers: 3,
-		Clock:   faultinject.NewVirtualClock(),
-		afterClaim: func(idx int, windowFull func() bool) {
-			if idx != 0 {
-				return
-			}
-			for !windowFull() {
-				time.Sleep(50 * time.Microsecond)
-			}
-		},
-	})
+func TestAcquirePoolResumedGateFlagsAbsoluteIndices(t *testing.T) {
+	// A resumed campaign's gate starts fresh at Start, but its verdicts
+	// still name absolute corpus indices. The saturation detector keeps no
+	// rolling state, so every glitch the full run flags from Start on must
+	// be flagged again, under the same index, at any worker count.
+	dev := poolVictim(t, 1.5)
+	const count, start = 200, 70
+	fl := emleak.NewFlakyDevice(dev, emleak.Distortion{
+		Seed:        78,
+		GlitchProb:  0.1,
+		DesyncProb:  0.05,
+		DesyncShift: 2,
+	}, nil)
+	gate := GateConfig{SatLevel: 500, DesyncShift: 2}
+	full, err := AcquirePool(context.Background(), []Device{fl}, 3, count, &sliceAppender{}, PoolOptions{Workers: 2, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(w.obs, want) {
-		t.Fatal("pool corpus differs from single-device Acquire corpus")
+	var saturated []tracestore.ObservationFault
+	for _, f := range full.Health.Suspect {
+		if f.Index >= start && strings.HasPrefix(f.Reason, "saturated") {
+			saturated = append(saturated, f)
+		}
+	}
+	if len(saturated) == 0 {
+		t.Fatal("no glitch after the resume point")
+	}
+	var first []tracestore.ObservationFault
+	for _, workers := range []int{1, 3} {
+		report, err := AcquirePool(context.Background(), []Device{fl}, 3, count, &sliceAppender{}, PoolOptions{
+			Workers: workers, Start: start, Gate: gate,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Health.Healthy != count-start {
+			t.Fatalf("workers=%d: Healthy = %d, want %d", workers, report.Health.Healthy, count-start)
+		}
+		got := map[tracestore.ObservationFault]bool{}
+		for _, f := range report.Health.Suspect {
+			if f.Index < start {
+				t.Fatalf("workers=%d: suspect %v precedes the resume point", workers, f)
+			}
+			got[f] = true
+		}
+		for _, f := range saturated {
+			if !got[f] {
+				t.Fatalf("workers=%d: resumed gate missed %v", workers, f)
+			}
+		}
+		if first == nil {
+			first = report.Health.Suspect
+		} else if !reflect.DeepEqual(first, report.Health.Suspect) {
+			t.Fatal("resumed gate verdicts depend on worker count")
+		}
 	}
 }

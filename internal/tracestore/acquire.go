@@ -41,17 +41,33 @@ type AcquireOptions struct {
 }
 
 // Acquire runs a known-plaintext campaign of count measurements against
-// dev and streams observations [opts.Start, count) into w. The device is
-// cloned per worker, every observation's randomness is derived from
-// (seed, index) via emleak.ObservationAt, and a reorder window commits
-// results strictly in index order — so -workers is purely a throughput
-// knob, never a reproducibility one. The caller owns w and must finalize
-// it (Writer.Close, or Writer.Interrupt after cancellation).
+// dev and streams observations [opts.Start, count) into w, through
+// AcquireIndexed with one clone of dev per worker. Every observation's
+// randomness is derived from (seed, index) via emleak.ObservationAt, so
+// -workers is purely a throughput knob, never a reproducibility one. The
+// caller owns w and must finalize it (Writer.Close, or Writer.Interrupt
+// after cancellation).
+func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w Appender, opts AcquireOptions) error {
+	return AcquireIndexed(ctx, count, w, opts, func() func(context.Context, uint64) (emleak.Observation, error) {
+		local := dev.Clone(0) // noise reseeded per observation
+		return func(_ context.Context, idx uint64) (emleak.Observation, error) {
+			return emleak.ObservationAt(local, seed, idx)
+		}
+	})
+}
+
+// AcquireIndexed is the acquisition pipeline: workers claim indices
+// [opts.Start, count) from a shared counter and measure them, and a
+// collector commits the results to w strictly in index order. newMeasure
+// is called once per worker and returns that worker's measurement, which
+// must depend only on the index. The committed corpus is then the same
+// for every worker count.
 //
 // Cancelling ctx stops acquisition promptly: workers drain, the already
 // committed prefix stays intact in w, and the returned error wraps
 // ctx.Err(). No goroutines outlive the call.
-func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w Appender, opts AcquireOptions) error {
+func AcquireIndexed(ctx context.Context, count int, w Appender, opts AcquireOptions,
+	newMeasure func() func(ctx context.Context, idx uint64) (emleak.Observation, error)) error {
 	if count < 0 {
 		return fmt.Errorf("tracestore: negative campaign size %d", count)
 	}
@@ -93,9 +109,9 @@ func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w 
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func(wk int) {
+		measure := newMeasure()
+		go func() {
 			defer wg.Done()
-			local := dev.Clone(0) // noise reseeded per observation
 			for !failed.Load() {
 				select {
 				case sem <- struct{}{}:
@@ -110,10 +126,10 @@ func Acquire(ctx context.Context, dev *emleak.Device, seed uint64, count int, w 
 				if opts.afterClaim != nil {
 					opts.afterClaim(i, func() bool { return len(sem) == cap(sem) })
 				}
-				o, err := emleak.ObservationAt(local, seed, uint64(i))
+				o, err := measure(ctx, uint64(i))
 				results <- item{idx: i, obs: o, err: err}
 			}
-		}(wk)
+		}()
 	}
 	go func() {
 		wg.Wait()

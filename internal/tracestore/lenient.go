@@ -195,15 +195,35 @@ func openShardLenient(path string) (shardInfo, []ChunkFault, bool, error) {
 		}
 		return s, []ChunkFault{fault}, true, nil
 	case magicV2:
-		n, chunks, quarantined, faults, serr := scanChunksLenient(f, st.Size(), path)
+		// Keep going past CRC-damaged chunks, quarantining them, as long as
+		// the chunk framing stays self-consistent.
+		n, chunks, bad, end, serr := scanChunks(f, st.Size())
 		if serr != nil {
 			return shardInfo{}, nil, false, fmt.Errorf("tracestore: shard %s: %w", path, serr)
 		}
-		s := shardInfo{path: path, version: version2, n: n, chunks: chunks, quarantined: quarantined}
-		for i, q := range quarantined {
-			if !q {
-				s.count += int(chunks[i].count)
+		s := shardInfo{path: path, version: version2, n: n, chunks: chunks, quarantined: bad}
+		var faults []ChunkFault
+		for i, c := range chunks {
+			if !bad[i] {
+				s.count += int(c.count)
+				continue
 			}
+			mCRCRejects.Inc()
+			faults = append(faults, ChunkFault{
+				Shard:        path,
+				Chunk:        i,
+				Offset:       c.offset,
+				Observations: int(c.count),
+				Reason:       "payload CRC mismatch in footer-less shard (scan recovery)",
+			})
+		}
+		if end < st.Size() {
+			faults = append(faults, ChunkFault{
+				Shard:  path,
+				Chunk:  len(chunks),
+				Offset: end,
+				Reason: fmt.Sprintf("%d trailing bytes are not chunk-framed (torn write); observations lost with them are unknown", st.Size()-end),
+			})
 		}
 		return s, faults, true, nil
 	default:
@@ -283,77 +303,4 @@ func readChunkAt(f *os.File, buf []byte, meta chunkMeta) error {
 		return fmt.Errorf("%w: chunk at offset %d (crc %08x, want %08x)", ErrChecksum, meta.offset, got, crc)
 	}
 	return nil
-}
-
-// scanChunksLenient walks a trailer-less v2 shard like scanChunks but
-// keeps going past CRC-damaged chunks (quarantining them) as long as the
-// chunk *framing* stays self-consistent; it stops at the first offset
-// that cannot be a chunk header (torn tail or index debris).
-func scanChunksLenient(f *os.File, size int64, path string) (n int, chunks []chunkMeta, quarantined []bool, faults []ChunkFault, err error) {
-	var hdr [headerSize]byte
-	if size < headerSize {
-		return 0, nil, nil, nil, fmt.Errorf("%w: %d bytes is shorter than a shard header", ErrBadFormat, size)
-	}
-	if _, rerr := f.ReadAt(hdr[:], 0); rerr != nil {
-		return 0, nil, nil, nil, fmt.Errorf("%w: unreadable header", ErrBadFormat)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version2 {
-		return 0, nil, nil, nil, fmt.Errorf("%w: v2 shard with version %d", ErrBadFormat, v)
-	}
-	n = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if !validDegree(n) {
-		return 0, nil, nil, nil, fmt.Errorf("%w: implausible degree %d", ErrBadFormat, n)
-	}
-	obsSize := int64(observationSize(n))
-	offset := int64(headerSize)
-	var payload []byte
-	for {
-		var ch [chunkHdrSize]byte
-		if offset+chunkHdrSize > size {
-			break
-		}
-		if _, rerr := f.ReadAt(ch[:], offset); rerr != nil {
-			break
-		}
-		count := int64(binary.LittleEndian.Uint32(ch[0:]))
-		payloadLen := int64(binary.LittleEndian.Uint32(ch[4:]))
-		crc := binary.LittleEndian.Uint32(ch[8:])
-		if count <= 0 || count > maxCount || payloadLen != count*obsSize ||
-			offset+chunkHdrSize+payloadLen > size {
-			break
-		}
-		meta := chunkMeta{offset: offset, count: uint32(count), payloadLen: uint32(payloadLen)}
-		if int64(cap(payload)) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
-		bad := false
-		if _, rerr := f.ReadAt(payload, offset+chunkHdrSize); rerr != nil {
-			bad = true
-		} else if crc32.Checksum(payload, castagnoli) != crc {
-			bad = true
-		}
-		chunks = append(chunks, meta)
-		quarantined = append(quarantined, bad)
-		if bad {
-			mCRCRejects.Inc()
-			faults = append(faults, ChunkFault{
-				Shard:        path,
-				Chunk:        len(chunks) - 1,
-				Offset:       offset,
-				Observations: int(count),
-				Reason:       "payload CRC mismatch in footer-less shard (scan recovery)",
-			})
-		}
-		offset += chunkHdrSize + payloadLen
-	}
-	if offset < size {
-		faults = append(faults, ChunkFault{
-			Shard:  path,
-			Chunk:  len(chunks),
-			Offset: offset,
-			Reason: fmt.Sprintf("%d trailing bytes are not chunk-framed (torn write); observations lost with them are unknown", size-offset),
-		})
-	}
-	return n, chunks, quarantined, faults, nil
 }

@@ -3,26 +3,66 @@ package tracestore
 import (
 	"errors"
 	"io"
+	"slices"
 	"time"
 
 	"falcondown/internal/emleak"
 )
 
-// Read-ahead batching. The parallel attack engine consumes a campaign as
-// fixed-size observation batches (shards): a dedicated reader goroutine
-// decodes tracestore chunks sequentially and stays a bounded number of
-// batches ahead of the accumulator workers, so decode latency (disk reads,
-// CRC verification, robust-preprocessing transforms) overlaps with the
-// hypothesis×sample correlation math instead of serializing with it.
-//
-// The batches preserve corpus order exactly — batch k holds observations
-// [k·batchObs, (k+1)·batchObs) — which is what lets the consumer fold
-// per-batch partial statistics in a fixed order and stay bit-identical to
-// a sequential pass over the same reduction tree.
+// Batched passes. The attack consumes a campaign as fixed-size observation
+// batches (shards), in corpus order — batch k holds observations
+// [k·n, (k+1)·n) — which is what lets it fold per-batch partial statistics
+// in a fixed order and stay bit-identical at any parallelism. ForEachBatch
+// is the one loop that cuts a Source into batches; BatchIterator runs it on
+// a reader goroutine that stays a bounded number of batches ahead of the
+// consumer, so decode latency (disk reads, CRC verification, robust
+// preprocessing) overlaps with the correlation math.
 
-// BatchIterator yields consecutive fixed-size observation batches from a
-// Source, decoded ahead of the consumer by a bounded prefetch pipeline.
-// It is single-consumer; Close releases the reader goroutine.
+// ForEachBatch makes one pass over src, calling fn on consecutive batches
+// of n observations (the last may be shorter) in corpus order. fn must not
+// keep the batch: its backing array carries the next one. A Next that
+// fails with ErrTransient is retried after backoff[k] for the k-th failure
+// in a row, on the contract that a transient failure has not consumed an
+// observation; past the schedule (nil disables retries) the error is
+// returned. An error from fn stops the pass and is returned as is.
+func ForEachBatch(src Source, n int, backoff []time.Duration, fn func(batch []emleak.Observation) error) error {
+	it, err := src.Iterate()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	batch := make([]emleak.Observation, 0, n)
+	attempts := 0
+	for {
+		o, err := it.Next()
+		if err == io.EOF {
+			if len(batch) > 0 {
+				return fn(batch)
+			}
+			return nil
+		}
+		if err != nil {
+			if errors.Is(err, ErrTransient) && attempts < len(backoff) {
+				time.Sleep(backoff[attempts])
+				attempts++
+				continue
+			}
+			return err
+		}
+		attempts = 0
+		batch = append(batch, o)
+		if len(batch) == n {
+			if err := fn(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
+		}
+	}
+}
+
+// BatchIterator yields the batches of ForEachBatch, decoded ahead of the
+// consumer by a bounded prefetch pipeline. It is single-consumer; Close
+// releases the reader goroutine.
 type BatchIterator struct {
 	ch   chan prefetched
 	quit chan struct{}
@@ -35,75 +75,44 @@ type prefetched struct {
 	err   error // io.EOF after the final batch
 }
 
-// IterateBatches starts a prefetching pass over src. batchObs is the
-// batch size (the final batch may be shorter); depth bounds how many
-// decoded batches may be in flight ahead of the consumer. A Next that
-// fails with ErrTransient is retried with the given bounded backoff
-// schedule (nil disables retries), matching the attack sweep contract
-// that a transient failure has not consumed an observation.
-func IterateBatches(src Source, batchObs, depth int, backoff []time.Duration) (*BatchIterator, error) {
-	if batchObs <= 0 {
-		batchObs = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	it, err := src.Iterate()
-	if err != nil {
-		return nil, err
-	}
+// errClosed stops the reader's pass once the consumer has closed.
+var errClosed = errors.New("tracestore: batch iterator closed")
+
+// IterateBatches starts a prefetching ForEachBatch pass over src. depth
+// bounds how many decoded batches may be in flight ahead of the consumer.
+// Any failure, including one to start the pass, arrives from Next.
+func IterateBatches(src Source, batchObs, depth int, backoff []time.Duration) *BatchIterator {
 	b := &BatchIterator{
-		ch:   make(chan prefetched, depth),
+		ch:   make(chan prefetched, max(depth, 1)),
 		quit: make(chan struct{}),
 	}
-	go b.read(it, batchObs, backoff, b.quit)
-	return b, nil
+	go b.read(src, max(batchObs, 1), backoff, b.quit)
+	return b
 }
 
-// read is the prefetch pipeline: decode, batch, send. quit is captured by
-// value so a concurrent Close cannot race the field.
-func (b *BatchIterator) read(it Iterator, batchObs int, backoff []time.Duration, quit <-chan struct{}) {
-	defer it.Close()
-	batch := make([]emleak.Observation, 0, batchObs)
-	attempts := 0
-	emit := func(p prefetched) bool {
+// read is the prefetch pipeline: it hands off a copy of each batch, then
+// the pass's end. quit is captured by value so a concurrent Close cannot
+// race the field.
+func (b *BatchIterator) read(src Source, batchObs int, backoff []time.Duration, quit <-chan struct{}) {
+	send := func(p prefetched) error {
 		select {
 		case b.ch <- p:
-			return true
+			return nil
 		case <-quit:
-			return false
+			return errClosed
 		}
 	}
-	for {
-		o, err := it.Next()
-		if err == io.EOF {
-			if len(batch) > 0 && !emit(prefetched{batch: batch}) {
-				return
-			}
-			emit(prefetched{err: io.EOF})
-			return
-		}
-		if err != nil {
-			if errors.Is(err, ErrTransient) && attempts < len(backoff) {
-				time.Sleep(backoff[attempts])
-				attempts++
-				continue
-			}
-			if len(batch) > 0 && !emit(prefetched{batch: batch}) {
-				return
-			}
-			emit(prefetched{err: err})
-			return
-		}
-		attempts = 0
-		batch = append(batch, o)
-		if len(batch) == batchObs {
-			if !emit(prefetched{batch: batch}) {
-				return
-			}
-			batch = make([]emleak.Observation, 0, batchObs)
-		}
+	err := ForEachBatch(src, batchObs, backoff, func(batch []emleak.Observation) error {
+		return send(prefetched{batch: slices.Clone(batch)})
+	})
+	switch err {
+	case errClosed:
+		return
+	case nil:
+		err = io.EOF
 	}
+	// send fails only with errClosed, once nothing waits for the end.
+	_ = send(prefetched{err: err})
 }
 
 // Next returns the next batch in corpus order, or io.EOF after the last

@@ -12,10 +12,7 @@ import (
 func TestPrefetchBatchesPreserveOrder(t *testing.T) {
 	obs := testCampaign(t, 11)
 	src := NewSliceSource(8, obs)
-	it, err := IterateBatches(src, 4, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := IterateBatches(src, 4, 2, nil)
 	defer it.Close()
 	var got []emleak.Observation
 	sizes := []int{}
@@ -50,10 +47,7 @@ func TestPrefetchBatchesPreserveOrder(t *testing.T) {
 
 func TestPrefetchEarlyCloseReleasesReader(t *testing.T) {
 	obs := testCampaign(t, 64)
-	it, err := IterateBatches(NewSliceSource(8, obs), 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := IterateBatches(NewSliceSource(8, obs), 1, 1, nil)
 	if _, err := it.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +104,14 @@ func TestPrefetchRetriesTransient(t *testing.T) {
 	src := &transientBatchSource{inner: NewSliceSource(8, obs)}
 
 	// Without a backoff schedule the transient error is terminal.
-	it, err := IterateBatches(src, 4, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := IterateBatches(src, 4, 2, nil)
 	if _, err := it.Next(); !errors.Is(err, ErrTransient) {
 		t.Fatalf("unretried transient: %v", err)
 	}
 	it.Close()
 
 	// With one, the full corpus arrives.
-	it, err = IterateBatches(src, 4, 2, []time.Duration{0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	it = IterateBatches(src, 4, 2, []time.Duration{0})
 	defer it.Close()
 	total := 0
 	for {
@@ -141,5 +129,23 @@ func TestPrefetchRetriesTransient(t *testing.T) {
 	}
 	if src.fails != 2 {
 		t.Fatalf("transient injected %d times, want 2 (one per pass)", src.fails)
+	}
+}
+
+// failingSource cannot start a pass.
+type failingSource struct{ Source }
+
+var errNoPass = errors.New("cannot start a pass")
+
+func (failingSource) Iterate() (Iterator, error) { return nil, errNoPass }
+
+func TestPrefetchIterateFailureArrivesFromNext(t *testing.T) {
+	it := IterateBatches(failingSource{NewSliceSource(8, testCampaign(t, 3))}, 4, 2, nil)
+	defer it.Close()
+	if _, err := it.Next(); !errors.Is(err, errNoPass) {
+		t.Fatalf("first Next: %v, want the Iterate failure", err)
+	}
+	if _, err := it.Next(); err != io.EOF {
+		t.Fatalf("Next after the failure: %v, want io.EOF", err)
 	}
 }

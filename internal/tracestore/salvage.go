@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // Acquisition is a long-lived physical process (the paper's campaigns are
@@ -53,9 +54,13 @@ func Salvage(path string) (*SalvageReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: shard %s: %w", path, err)
 	}
-	n, chunks, end, err := scanChunks(f, st.Size())
+	_, chunks, bad, end, err := scanChunks(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: shard %s: %w", path, err)
+	}
+	// Keep the chunks before the first damaged one; the rest is debris.
+	if i := slices.Index(bad, true); i >= 0 {
+		chunks, end = chunks[:i], chunks[i].offset
 	}
 	rep := &SalvageReport{
 		Path:         path,
@@ -83,38 +88,37 @@ func Salvage(path string) (*SalvageReport, error) {
 	if err := f.Sync(); err != nil {
 		return nil, fmt.Errorf("tracestore: shard %s: %w", path, err)
 	}
-	_ = n
 	d, err := HashShard(path)
 	if err != nil {
 		return nil, err
 	}
 	rep.SHA256 = d.SHA256
 	return rep, nil
-
 }
 
-// scanChunks walks a v2 shard forward from its header, returning every
-// leading chunk that is structurally sound and CRC-valid, plus the byte
-// offset where the valid prefix ends. The scan stops (without error) at
-// the first torn chunk, stray index payload, or EOF — those bytes are the
-// crash debris the caller truncates away.
-func scanChunks(r io.ReaderAt, size int64) (n int, chunks []chunkMeta, end int64, err error) {
+// scanChunks walks a v2 shard forward from its header and returns every
+// chunk whose header is self-consistent, with bad flagging the ones whose
+// payload is unreadable or fails its CRC-32C, plus the byte offset where
+// the framed chunks end. The walk stops (without error) at the first
+// offset that cannot hold a chunk header: a torn write, stray index
+// payload, or EOF.
+func scanChunks(r io.ReaderAt, size int64) (n int, chunks []chunkMeta, bad []bool, end int64, err error) {
 	var hdr [headerSize]byte
 	if size < headerSize {
-		return 0, nil, 0, fmt.Errorf("%w: %d bytes is shorter than a shard header", ErrBadFormat, size)
+		return 0, nil, nil, 0, fmt.Errorf("%w: %d bytes is shorter than a shard header", ErrBadFormat, size)
 	}
 	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: unreadable header", ErrBadFormat)
+		return 0, nil, nil, 0, fmt.Errorf("%w: unreadable header", ErrBadFormat)
 	}
 	if string(hdr[:4]) != magicV2 {
-		return 0, nil, 0, fmt.Errorf("%w: magic %q is not a v2 shard", ErrBadFormat, hdr[:4])
+		return 0, nil, nil, 0, fmt.Errorf("%w: magic %q is not a v2 shard", ErrBadFormat, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version2 {
-		return 0, nil, 0, fmt.Errorf("%w: v2 shard with version %d", ErrBadFormat, v)
+		return 0, nil, nil, 0, fmt.Errorf("%w: v2 shard with version %d", ErrBadFormat, v)
 	}
 	n = int(binary.LittleEndian.Uint32(hdr[8:]))
 	if !validDegree(n) {
-		return 0, nil, 0, fmt.Errorf("%w: implausible degree %d", ErrBadFormat, n)
+		return 0, nil, nil, 0, fmt.Errorf("%w: implausible degree %d", ErrBadFormat, n)
 	}
 	obsSize := int64(observationSize(n))
 	offset := int64(headerSize)
@@ -140,16 +144,12 @@ func scanChunks(r io.ReaderAt, size int64) (n int, chunks []chunkMeta, end int64
 			payload = make([]byte, payloadLen)
 		}
 		payload = payload[:payloadLen]
-		if _, err := r.ReadAt(payload, offset+chunkHdrSize); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
-		}
+		_, rerr := r.ReadAt(payload, offset+chunkHdrSize)
 		chunks = append(chunks, chunkMeta{offset: offset, count: uint32(count), payloadLen: uint32(payloadLen)})
+		bad = append(bad, rerr != nil || crc32.Checksum(payload, castagnoli) != crc)
 		offset += chunkHdrSize + payloadLen
 	}
-	return n, chunks, offset, nil
+	return n, chunks, bad, offset, nil
 }
 
 // buildIndex serializes the footer index payload and trailer for the given

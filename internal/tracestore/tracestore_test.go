@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,21 +157,6 @@ func TestGoldenV1Compat(t *testing.T) {
 	}
 	sameObservations(t, want, back)
 
-	// The in-memory compat path agrees.
-	f, err := os.Open(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	n, obs, err := ReadV1(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 {
-		t.Fatalf("ReadV1 n = %d", n)
-	}
-	sameObservations(t, want, obs)
-
 	// WriteV1 must still emit the historical byte layout exactly.
 	var buf bytes.Buffer
 	if err := WriteV1(&buf, 8, want); err != nil {
@@ -186,35 +172,33 @@ func TestGoldenV1Compat(t *testing.T) {
 }
 
 func TestV1RejectsGarbage(t *testing.T) {
-	if _, _, err := ReadV1(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, _, err := ReadV1(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty accepted")
-	}
 	obs := testCampaign(t, 2)
 	var buf bytes.Buffer
 	if err := WriteV1(&buf, 8, obs); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, _, err := ReadV1(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("truncated v1 file: err = %v, want ErrBadFormat", err)
-	}
-	bad := append([]byte(nil), raw...)
-	bad[4] = 99
-	if _, _, err := ReadV1(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("bad version: err = %v, want ErrBadFormat", err)
-	}
-
-	// The corpus path additionally rejects v1 blobs whose size disagrees
-	// with the header (trailing garbage would silently vanish otherwise).
-	path := filepath.Join(t.TempDir(), "trailing.fdtr")
-	if err := os.WriteFile(path, append(append([]byte(nil), raw...), 0xAB), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("v1 with trailing garbage: err = %v, want ErrBadFormat", err)
+	badVersion := append([]byte(nil), raw...)
+	badVersion[4] = 99
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{
+		{"garbage", []byte("not a trace file at all")},
+		{"empty", nil},
+		{"truncated", raw[:len(raw)/2]},
+		{"bad version", badVersion},
+		// Trailing garbage would silently vanish if the size went unchecked.
+		{"trailing garbage", append(append([]byte(nil), raw...), 0xAB)},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".fdtr")
+		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s v1 blob: err = %v, want ErrBadFormat", c.name, err)
+		}
 	}
 }
 

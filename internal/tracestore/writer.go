@@ -52,14 +52,6 @@ type Stats struct {
 	Elapsed      time.Duration
 }
 
-// Rate returns observations per second.
-func (s Stats) Rate() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Observations) / s.Elapsed.Seconds()
-}
-
 // chunkMeta is one index entry.
 type chunkMeta struct {
 	offset     int64
