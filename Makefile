@@ -20,11 +20,13 @@ race:
 
 # Quick race pass over the concurrent paths (the acquisition pipeline and
 # the supervised pool on top of it, the parallel attack engine and its
-# differential bit-identity suite, the prefetch pipeline, the shard
+# differential bit-identity suite, the fused-fold battery and its
+# recycled-partial check, whose jobs carry reusable scratch that parallel
+# tiles and fleet clones must not share, the prefetch pipeline, the shard
 # walker's transient retry at one and two workers, and the statistics
 # merge operations).
 race-short:
-	$(GO) test -race -short -shuffle=on -run 'Acquire|Stream|Corpus|Pool|Breaker|Clock|Differential|Parallel|Merge|Prefetch|Transient' ./internal/tracestore ./internal/core ./internal/supervise ./internal/faultinject ./internal/cpa
+	$(GO) test -race -short -shuffle=on -run 'Acquire|Stream|Corpus|Pool|Breaker|Clock|Differential|Parallel|Fold|Recycled|Merge|Prefetch|Transient' ./internal/tracestore ./internal/core ./internal/supervise ./internal/faultinject ./internal/cpa
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

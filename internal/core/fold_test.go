@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"falcondown/internal/emleak"
+	"falcondown/internal/fft"
 	"falcondown/internal/fpr"
 	"falcondown/internal/tracestore"
 )
@@ -52,6 +53,36 @@ func awkwardCorpus(obs []emleak.Observation, nonFinite int) []emleak.Observation
 		out[i] = o
 	}
 	return out
+}
+
+// plantKnown copies obs with every known operand's biased exponent set to
+// exp(i) for observation i; a negative exp(i) plants zero (−1), −0.0 (−2)
+// or a subnormal (−3) instead. Signs and mantissas are kept otherwise.
+func plantKnown(obs []emleak.Observation, exp func(i int) int) []emleak.Observation {
+	out := make([]emleak.Observation, len(obs))
+	for i, o := range obs {
+		cf := append([]fft.Cplx(nil), o.CFFT...)
+		for k := range cf {
+			cf[k].Re = plantExp(cf[k].Re, exp(i))
+			cf[k].Im = plantExp(cf[k].Im, exp(i))
+		}
+		o.CFFT = cf
+		out[i] = o
+	}
+	return out
+}
+
+func plantExp(x fpr.FPR, e int) fpr.FPR {
+	const expBits = uint64(0x7ff) << 52
+	switch e {
+	case -1:
+		return 0
+	case -2:
+		return fpr.FPR(1 << 63)
+	case -3:
+		return fpr.FPR(uint64(x)&^expBits | 1)
+	}
+	return fpr.FPR(uint64(x)&^expBits | uint64(e)<<52)
 }
 
 // fusedCase builds a fresh zero-state instance of one fused job.
@@ -113,6 +144,36 @@ func TestFusedFoldMatchesObserveMerge(t *testing.T) {
 		}
 	}
 	corpora[1].obs = append(corpora[1].obs, corpora[0].obs[shardObs:]...)
+	// Planted known operands drive the exponent kernel's column grouping
+	// to its edges: a shard whose hypotheses collapse onto the columns of
+	// one exponent, a shard with more distinct exponents than one column
+	// key holds, and zero, −0.0 and subnormal operands (biased exponent 0),
+	// whose base + hyp is negative and reaches weight 64, hwTerms' top
+	// entry, at hyp 1022.
+	finite := corpora[0].obs
+	planted := []struct {
+		name string
+		obs  []emleak.Observation
+		cols func(n int) bool
+	}{
+		{"one exponent", plantKnown(finite, func(int) int { return 1030 }),
+			func(n int) bool { return n < 64 }},
+		{"more exponents than a key holds", plantKnown(finite, func(i int) int { return 1000 + 3*(i%(expKeyExps+1)) }),
+			func(n int) bool { return n == nExpHyp-1 }},
+		{"zero and subnormal", plantKnown(finite, func(i int) int { return []int{-1, -2, -3, 1023 + i%5}[i%4] }),
+			func(n int) bool { return n < nExpHyp-1 }},
+	}
+	for _, p := range planted {
+		j := newExpJob(1, PartIm)
+		j.fold(p.obs[:shardObs])
+		if n := len(j.cols.head); !p.cols(n) {
+			t.Fatalf("%s: first shard groups into %d columns", p.name, n)
+		}
+		corpora = append(corpora, struct {
+			name string
+			obs  []emleak.Observation
+		}{p.name, p.obs})
+	}
 	for _, c := range fusedCases() {
 		for _, corpus := range corpora {
 			for n := 1; n <= shardObs; n++ {
@@ -137,6 +198,29 @@ func TestFusedFoldMatchesObserveMerge(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestFusedExpFoldOwnsItsScratch(t *testing.T) {
+	// The column grouping scratch is reused from fold to fold, so folding
+	// a shard again allocates nothing, and each clone (a parallel tile's
+	// partial, a fleet task's partial) grows its own.
+	dev, _, _ := deviceFor(t, 8, 2.0, 77)
+	shard := collect(t, dev, shardObs, 78)
+	j := newExpJob(2, PartRe)
+	j.fold(shard)
+	if allocs := testing.AllocsPerRun(5, func() { j.fold(shard) }); allocs != 0 {
+		t.Fatalf("a warm exponent fold allocates %.0f times", allocs)
+	}
+	c := j.clone().(*expJob)
+	if c.cols != nil {
+		t.Fatal("a clone starts with its parent's grouping scratch")
+	}
+	c.fold(shard)
+	cc := c.clone().(*expJob)
+	cc.fold(shard)
+	if c.cols == j.cols || cc.cols == c.cols || cc.cols == j.cols {
+		t.Fatal("a clone shares its parent's grouping scratch")
 	}
 }
 

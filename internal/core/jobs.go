@@ -25,6 +25,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"falcondown/internal/cpa"
@@ -128,6 +129,9 @@ type expJob struct {
 	part    Part
 	engines [2]*cpa.Engine
 	h       []float64
+	// cols is fold's grouping scratch, made on the first fold. A clone
+	// starts without one, so concurrent partials never share it.
+	cols *expColumns
 }
 
 const nExpHyp = 2047 // biased exponents 1..2046 plus index 0 unused
@@ -155,10 +159,11 @@ func (j *expJob) observe(o emleak.Observation) {
 }
 
 // fold is the fused kernel: per window it gathers the shard's known
-// exponents and samples once, then walks the hypotheses four at a time
-// over the shard's traces with register accumulators. Hypothesis 0 is
-// unused and observe never writes its prediction, so its cells take 0·t:
-// +0 on a shard of finite samples, which leaves them as they are.
+// exponents and samples once, groups the hypotheses by weight column, and
+// accumulates each distinct column once over the shard's traces with
+// register accumulators. Hypothesis 0 is unused and observe never writes
+// its prediction, so its cells take 0·t: +0 on a shard of finite
+// samples, which leaves them as they are.
 func (j *expJob) fold(shard []emleak.Observation) {
 	var base [2][shardObs]int
 	var ts [2][shardObs]float64
@@ -173,28 +178,110 @@ func (j *expJob) fold(shard []emleak.Observation) {
 			return
 		}
 	}
+	if j.cols == nil {
+		j.cols = new(expColumns)
+	}
 	for w, e := range j.engines {
-		foldExpWindow(e, base[w][:n], ts[w][:n])
+		j.cols.group(base[w][:n])
+		j.cols.fold(e, base[w][:n], ts[w][:n])
 	}
 }
 
-// foldExpWindow folds one window's shard into e. base[tr] is the known
-// biased exponent minus 1023, so hypothesis hyp predicts
-// HW(base[tr] + hyp).
-func foldExpWindow(e *cpa.Engine, base []int, ts []float64) {
+// Hypothesis hyp predicts HW(b + hyp) on a trace whose known biased
+// exponent is b + 1023, so two hypotheses whose weights agree on each of
+// a shard's distinct known exponents predict the same sequence on every
+// trace: the same weight column. A shard of 64 traces holds only a few
+// distinct exponents, so its 2046 hypotheses share a few hundred columns.
+// A column is keyed by its weights, expKeyBits each (a weight is at most
+// 64), so up to expKeyExps distinct exponents fit one uint64; a shard
+// with more gives every hypothesis its own column.
+const (
+	expKeyBits  = 7
+	expKeyExps  = 64 / expKeyBits
+	expSlotBits = 12 // 4096 hash slots: at most half full
+	expSlots    = 1 << expSlotBits
+)
+
+// expColumns groups one shard window's hypotheses into weight columns.
+// Column c holds the hypotheses head[c], next[head[c]], … up to the
+// unused hypothesis 0, and any of them stands for the column. It is
+// rebuilt for every window, so reuse carries no state between shards;
+// head and key grow to the most columns a window has needed.
+type expColumns struct {
+	head []uint16
+	key  []uint64
+	next [nExpHyp]uint16
+	slot [expSlots]uint16 // hash slot → column+1; 0 is free
+}
+
+// group builds the columns of a window whose traces carry the given
+// known exponents (biased exponent − 1023).
+func (g *expColumns) group(base []int) {
+	var exps [expKeyExps]int
+	k := 0
+	for _, b := range base {
+		if slices.Contains(exps[:k], b) {
+			continue
+		}
+		if k == expKeyExps {
+			k = -1
+			break
+		}
+		exps[k] = b
+		k++
+	}
+	g.head = g.head[:0]
+	if k < 0 {
+		for hyp := 1; hyp < nExpHyp; hyp++ {
+			g.head = append(g.head, uint16(hyp))
+			g.next[hyp] = 0
+		}
+		return
+	}
+	clear(g.slot[:])
+	g.key = g.key[:0]
+	for hyp := 1; hyp < nExpHyp; hyp++ {
+		var key uint64
+		for d, b := range exps[:k] {
+			key |= uint64(bits.OnesCount64(uint64(b+hyp))) << (d * expKeyBits)
+		}
+		s := (key * 0x9e3779b97f4a7c15) >> (64 - expSlotBits)
+		for {
+			c := int(g.slot[s]) - 1
+			if c < 0 {
+				c = len(g.head)
+				g.head = append(g.head, 0)
+				g.key = append(g.key, key)
+				g.slot[s] = uint16(len(g.head))
+			} else if g.key[c] != key {
+				s = (s + 1) & (expSlots - 1)
+				continue
+			}
+			g.next[hyp] = g.head[c]
+			g.head[c] = uint16(hyp)
+			break
+		}
+	}
+}
+
+// fold folds the window's shard into e: each column's partial is
+// accumulated once, four columns at a time, and folded into every
+// hypothesis of the column. base[tr] is the known biased exponent minus
+// 1023, so a column whose hypothesis is hyp predicts HW(base[tr] + hyp).
+func (g *expColumns) fold(e *cpa.Engine, base []int, ts []float64) {
 	ts = ts[:len(base)]
 	e.FoldTraces(ts)
-	hyp := 1
-	for ; hyp+4 <= nExpHyp; hyp += 4 {
+	c := 0
+	for ; c+4 <= len(g.head); c += 4 {
+		r0, r1, r2, r3 := int(g.head[c]), int(g.head[c+1]), int(g.head[c+2]), int(g.head[c+3])
 		var p0, p1, p2, p3 int
 		var s0, s1, s2, s3 float64
 		for tr, b := range base {
-			x := uint64(b + hyp)
 			t := ts[tr]
-			h0 := bits.OnesCount64(x)
-			h1 := bits.OnesCount64(x + 1)
-			h2 := bits.OnesCount64(x + 2)
-			h3 := bits.OnesCount64(x + 3)
+			h0 := bits.OnesCount64(uint64(b + r0))
+			h1 := bits.OnesCount64(uint64(b + r1))
+			h2 := bits.OnesCount64(uint64(b + r2))
+			h3 := bits.OnesCount64(uint64(b + r3))
 			p0 += hwTerm(h0)
 			p1 += hwTerm(h1)
 			p2 += hwTerm(h2)
@@ -204,20 +291,28 @@ func foldExpWindow(e *cpa.Engine, base []int, ts []float64) {
 			s2 += float64(h2) * t
 			s3 += float64(h3) * t
 		}
-		foldHW(e, hyp, p0, s0)
-		foldHW(e, hyp+1, p1, s1)
-		foldHW(e, hyp+2, p2, s2)
-		foldHW(e, hyp+3, p3, s3)
+		g.foldColumn(e, c, p0, s0)
+		g.foldColumn(e, c+1, p1, s1)
+		g.foldColumn(e, c+2, p2, s2)
+		g.foldColumn(e, c+3, p3, s3)
 	}
-	for ; hyp < nExpHyp; hyp++ {
+	for ; c < len(g.head); c++ {
+		r := int(g.head[c])
 		var p int
 		var s float64
 		for tr, b := range base {
-			h := bits.OnesCount64(uint64(b + hyp))
+			h := bits.OnesCount64(uint64(b + r))
 			p += hwTerm(h)
 			s += float64(h) * ts[tr]
 		}
-		foldHW(e, hyp, p, s)
+		g.foldColumn(e, c, p, s)
+	}
+}
+
+// foldColumn folds column c's partial into each of its hypotheses.
+func (g *expColumns) foldColumn(e *cpa.Engine, c, packed int, sumHT float64) {
+	for hyp := g.head[c]; hyp != 0; hyp = g.next[hyp] {
+		foldHW(e, int(hyp), packed, sumHT)
 	}
 }
 
@@ -821,8 +916,17 @@ func foldByObserve(j job, shard []emleak.Observation) {
 // into Σh².
 const hwShift = 16
 
+// hwTerms[h] is a prediction h's contribution h + h²<<hwShift to the
+// packed register. A weight is at most 64, so the masked index is h.
+var hwTerms = func() (t [128]int) {
+	for h := range t {
+		t[h] = h + h*h<<hwShift
+	}
+	return t
+}()
+
 // hwTerm is one prediction's contribution to the packed register.
-func hwTerm(h int) int { return h + h*h<<hwShift }
+func hwTerm(h int) int { return hwTerms[h&127] }
 
 // foldHW folds one hypothesis's shard partial from its packed register
 // and its h·t sum.

@@ -130,17 +130,18 @@ func foldShard(jobs []job, shard []emleak.Observation) {
 	sp.End()
 }
 
-// forEachShard walks src in canonical shards under the sweep's transient
-// retry schedule (tracestore.ForEachBatch); fn must not keep the shard.
-func forEachShard(src Source, fn func(shard []emleak.Observation) error) error {
-	return tracestore.ForEachBatch(src, shardObs, sweepBackoff, fn)
+// forEachShard walks src in canonical shards from shard first on, under
+// the sweep's transient retry schedule (tracestore.ForEachBatch); fn must
+// not keep the shard or its observations.
+func forEachShard(src Source, first int, fn func(shard []emleak.Observation) error) error {
+	return tracestore.ForEachBatch(src, first*shardObs, shardObs, sweepBackoff, fn)
 }
 
 // serialPass is the single-threaded reference implementation of the
 // canonical reduction: shard, accumulate, fold, in corpus order. The
 // differential suite compares every parallel run against it.
 func serialPass(src Source, jobs []job) error {
-	return forEachShard(src, func(shard []emleak.Observation) error {
+	return forEachShard(src, 0, func(shard []emleak.Observation) error {
 		foldShard(jobs, shard)
 		return nil
 	})
@@ -312,7 +313,7 @@ func parallelMap(src Source, workers int, fn func(idx int, o emleak.Observation)
 	workers = effectiveWorkers(workers)
 	if workers <= 1 {
 		idx := 0
-		return forEachShard(src, func(shard []emleak.Observation) error {
+		return forEachShard(src, 0, func(shard []emleak.Observation) error {
 			for _, o := range shard {
 				fn(idx, o)
 				idx++

@@ -299,8 +299,12 @@ func (s *robustSource) apply(samples []float64, clamp bool) {
 }
 
 // Iterate implements Source.
-func (s *robustSource) Iterate() (tracestore.Iterator, error) {
-	it, err := s.inner.Iterate()
+func (s *robustSource) Iterate() (tracestore.Iterator, error) { return s.IterateFrom(0) }
+
+// IterateFrom implements tracestore.Seeker: the transform is per trace, so
+// the pass starts where its inner view starts.
+func (s *robustSource) IterateFrom(start int) (tracestore.Iterator, error) {
+	it, err := tracestore.IterateFrom(s.inner, start)
 	if err != nil {
 		return nil, err
 	}

@@ -393,8 +393,8 @@ func jobFromSpec(s JobSpec) (job, error) {
 	}
 }
 
-// errStopSweep aborts a forEachShard walk early once the requested shard
-// range has been produced.
+// errStopSweep ends a forEachShard walk once the requested shard range
+// has been produced.
 var errStopSweep = fmt.Errorf("core: stop sweep")
 
 // ComputeShardPartials is the worker entry point: rebuild the
@@ -575,18 +575,13 @@ func (p *DistPass) Compute(shardLo, shardHi, jobLo, jobHi int) ([]ShardPartial, 
 // states. One clone per job carries every shard, reset after each
 // encode.
 func computeLocalPartials(src Source, jobs []job, shardLo, shardHi int) ([]ShardPartial, error) {
+	if shardLo >= shardHi {
+		return nil, nil
+	}
 	var out []ShardPartial
 	var partials []job
-	idx := 0
-	err := forEachShard(src, func(shard []emleak.Observation) error {
-		k := idx
-		idx++
-		if k < shardLo {
-			return nil
-		}
-		if k >= shardHi {
-			return errStopSweep
-		}
+	k := shardLo
+	err := forEachShard(src, shardLo, func(shard []emleak.Observation) error {
 		if partials == nil {
 			partials = make([]job, len(jobs))
 			for i, j := range jobs {
@@ -600,6 +595,10 @@ func computeLocalPartials(src Source, jobs []job, shardLo, shardHi int) ([]Shard
 			c.reset()
 		}
 		out = append(out, sp)
+		k++
+		if k == shardHi {
+			return errStopSweep
+		}
 		return nil
 	})
 	if err != nil && err != errStopSweep {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"falcondown/internal/cpa"
+	"falcondown/internal/emleak"
 	"falcondown/internal/fft"
 	"falcondown/internal/tracestore"
 )
@@ -31,9 +33,11 @@ type fakeDistributor struct {
 	dups       int    // duplicates dropped, accumulated across passes
 	remote     int    // tasks served by the "fleet"
 	local      int    // tasks served by local fallback
+	passes     int    // passes run
 }
 
 func (d *fakeDistributor) RunPass(p *DistPass) error {
+	d.passes++
 	// Round-trip the pass description through JSON: the worker must be
 	// able to rebuild the pass from bytes alone.
 	var view SourceSpec
@@ -151,6 +155,74 @@ func TestDistributedRobustAttackBitIdenticalToSerial(t *testing.T) {
 	sameAttackOutput(t, "robust distributed", refOut, refVals, refSidecar, out, vals, sidecar)
 	if d.remote == 0 {
 		t.Fatal("robust distributed run never reached the fleet")
+	}
+}
+
+// decodeCounter is a seekable view of a corpus that counts the
+// observations its passes decode.
+type decodeCounter struct {
+	Source
+	decoded atomic.Int64
+}
+
+func (s *decodeCounter) Iterate() (tracestore.Iterator, error) { return s.IterateFrom(0) }
+
+func (s *decodeCounter) IterateFrom(start int) (tracestore.Iterator, error) {
+	it, err := tracestore.IterateFrom(s.Source, start)
+	if err != nil {
+		return nil, err
+	}
+	return &countingIterator{Iterator: it, n: &s.decoded}, nil
+}
+
+type countingIterator struct {
+	tracestore.Iterator
+	n *atomic.Int64
+}
+
+func (it *countingIterator) Next() (emleak.Observation, error) {
+	o, err := it.Iterator.Next()
+	if err == nil {
+		it.n.Add(1)
+	}
+	return o, err
+}
+
+func TestFleetTasksDecodeOnlyTheirShards(t *testing.T) {
+	// A fleet task starts its pass at its first shard, through the
+	// corpus's chunk index, so a pass over the fleet decodes each trace
+	// once however its shards are cut into tasks, and the attack lands on
+	// the serial bytes.
+	dev, _, _ := deviceFor(t, 8, 2.0, 57)
+	obs := collect(t, dev, 11*shardObs+5, 58)
+	path := filepath.Join(t.TempDir(), "traces.fdt2")
+	w, err := tracestore.NewWriter(path, 8, tracestore.Options{ShardObs: 200, ChunkObs: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range obs {
+		if err := w.Append(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := tracestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refOut, refVals, refSidecar := runAttackAt(t, corpus, Config{}, 1)
+	for _, per := range []int{1, 4} {
+		raw := &decodeCounter{Source: corpus}
+		d := &fakeDistributor{raw: raw, shardsPer: per}
+		out, vals, sidecar := runAttackDistributed(t, corpus, Config{}, d)
+		label := fmt.Sprintf("shardsPer=%d", per)
+		sameAttackOutput(t, label, refOut, refVals, refSidecar, out, vals, sidecar)
+		if got, want := raw.decoded.Load(), int64(d.passes*len(obs)); d.passes == 0 || got != want {
+			t.Fatalf("%s: %d passes decoded %d traces, want %d", label, d.passes, got, want)
+		}
 	}
 }
 

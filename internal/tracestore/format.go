@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"falcondown/internal/emleak"
 	"falcondown/internal/fft"
@@ -110,11 +111,12 @@ func appendObservation(dst []byte, o emleak.Observation) []byte {
 	return dst
 }
 
-// decodeObservation unpacks one observation of degree n from buf, which
-// must hold at least observationSize(n) bytes.
-func decodeObservation(buf []byte, n int) emleak.Observation {
+// decodeInto unpacks one observation of degree n from buf, which must
+// hold at least observationSize(n) bytes, into o, reusing o's slices
+// where their capacity suffices.
+func decodeInto(o *emleak.Observation, buf []byte, n int) {
 	half := n / 2
-	cf := make([]fft.Cplx, half)
+	cf := slices.Grow(o.CFFT[:0], half)[:half]
 	for k := range cf {
 		cf[k] = fft.Cplx{
 			Re: fpr.FPR(binary.LittleEndian.Uint64(buf)),
@@ -122,10 +124,10 @@ func decodeObservation(buf []byte, n int) emleak.Observation {
 		}
 		buf = buf[16:]
 	}
-	samples := make([]float64, half*emleak.SamplesPerCoeff)
+	samples := slices.Grow(o.Trace.Samples[:0], half*emleak.SamplesPerCoeff)[:half*emleak.SamplesPerCoeff]
 	for j := range samples {
 		samples[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 		buf = buf[8:]
 	}
-	return emleak.Observation{CFFT: cf, Trace: emleak.Trace{Samples: samples}}
+	o.CFFT, o.Trace.Samples = cf, samples
 }

@@ -247,10 +247,7 @@ func verifyChunks(path string, s *shardInfo) ([]ChunkFault, error) {
 	s.quarantined = make([]bool, len(s.chunks))
 	var buf []byte
 	for i, meta := range s.chunks {
-		if cap(buf) < int(meta.payloadLen) {
-			buf = make([]byte, meta.payloadLen)
-		}
-		buf = buf[:meta.payloadLen]
+		buf = chunkBuffer(buf, meta)
 		if err := readChunkRetry(f, buf, meta); err != nil {
 			s.quarantined[i] = true
 			s.count -= int(meta.count)
@@ -266,9 +263,9 @@ func verifyChunks(path string, s *shardInfo) ([]ChunkFault, error) {
 	return faults, nil
 }
 
-// readChunkRetry reads one chunk payload into buf (len == payloadLen) and
-// verifies its header and CRC, retrying with bounded backoff so a
-// transient I/O fault does not condemn good data.
+// readChunkRetry reads one chunk into buf (see readChunkAt) and verifies
+// its header and CRC, retrying with bounded backoff so a transient I/O
+// fault does not condemn good data.
 func readChunkRetry(f *os.File, buf []byte, meta chunkMeta) error {
 	var last error
 	for attempt := 0; ; attempt++ {
@@ -283,22 +280,35 @@ func readChunkRetry(f *os.File, buf []byte, meta chunkMeta) error {
 	}
 }
 
-func readChunkAt(f *os.File, buf []byte, meta chunkMeta) error {
-	var hdr [chunkHdrSize]byte
-	if _, err := f.ReadAt(hdr[:], meta.offset); err != nil {
-		return fmt.Errorf("%w: chunk header unreadable at offset %d: %v", ErrBadFormat, meta.offset, err)
+// chunkBuffer returns buf resized to hold meta's chunk header and
+// payload, reallocated only when it is too small.
+func chunkBuffer(buf []byte, meta chunkMeta) []byte {
+	n := chunkHdrSize + int(meta.payloadLen)
+	if cap(buf) < n {
+		return make([]byte, n)
 	}
-	count := binary.LittleEndian.Uint32(hdr[0:])
-	payloadLen := binary.LittleEndian.Uint32(hdr[4:])
-	crc := binary.LittleEndian.Uint32(hdr[8:])
+	return buf[:n]
+}
+
+// readChunkAt reads one chunk, header and payload, into buf (sized by
+// chunkBuffer) with one positioned read, and verifies the header against
+// the index and the payload against its CRC.
+func readChunkAt(f *os.File, buf []byte, meta chunkMeta) error {
+	if n, err := f.ReadAt(buf, meta.offset); n < len(buf) {
+		part := "payload"
+		if n < chunkHdrSize {
+			part = "header"
+		}
+		return fmt.Errorf("%w: chunk %s unreadable at offset %d: %v", ErrBadFormat, part, meta.offset, err)
+	}
+	count := binary.LittleEndian.Uint32(buf[0:])
+	payloadLen := binary.LittleEndian.Uint32(buf[4:])
+	crc := binary.LittleEndian.Uint32(buf[8:])
 	if count != meta.count || payloadLen != meta.payloadLen {
 		return fmt.Errorf("%w: chunk header (count=%d len=%d) disagrees with index (count=%d len=%d)",
 			ErrBadFormat, count, payloadLen, meta.count, meta.payloadLen)
 	}
-	if _, err := f.ReadAt(buf, meta.offset+chunkHdrSize); err != nil {
-		return fmt.Errorf("%w: chunk payload unreadable at offset %d: %v", ErrBadFormat, meta.offset, err)
-	}
-	if got := crc32.Checksum(buf, castagnoli); got != crc {
+	if got := crc32.Checksum(buf[chunkHdrSize:], castagnoli); got != crc {
 		mCRCRejects.Inc()
 		return fmt.Errorf("%w: chunk at offset %d (crc %08x, want %08x)", ErrChecksum, meta.offset, got, crc)
 	}

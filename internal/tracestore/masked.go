@@ -15,19 +15,19 @@ import (
 // identical order.
 type MaskedSource struct {
 	inner Source
-	skip  map[int]bool
+	skip  []int // the masked indices, increasing
 	count int
 }
 
 // NewMaskedSource wraps src, hiding the observations at the given corpus
 // indices. Out-of-range and duplicate indices are ignored.
 func NewMaskedSource(src Source, skip []int) *MaskedSource {
-	m := &MaskedSource{inner: src, skip: make(map[int]bool, len(skip))}
+	m := &MaskedSource{inner: src}
 	sorted := append([]int(nil), skip...)
 	sort.Ints(sorted)
 	for _, i := range sorted {
-		if i >= 0 && i < src.Count() && !m.skip[i] {
-			m.skip[i] = true
+		if i >= 0 && i < src.Count() && (len(m.skip) == 0 || m.skip[len(m.skip)-1] != i) {
+			m.skip = append(m.skip, i)
 		}
 	}
 	m.count = src.Count() - len(m.skip)
@@ -44,17 +44,25 @@ func (m *MaskedSource) Count() int { return m.count }
 func (m *MaskedSource) Skipped() int { return len(m.skip) }
 
 // Iterate implements Source.
-func (m *MaskedSource) Iterate() (Iterator, error) {
-	it, err := m.inner.Iterate()
+func (m *MaskedSource) Iterate() (Iterator, error) { return m.IterateFrom(0) }
+
+// IterateFrom implements Seeker: the start-th unmasked observation is
+// the inner source's start-th plus the masked indices at or before it.
+func (m *MaskedSource) IterateFrom(start int) (Iterator, error) {
+	pos, k := max(start, 0), 0
+	for ; k < len(m.skip) && m.skip[k] <= pos; k++ {
+		pos++
+	}
+	it, err := IterateFrom(m.inner, pos)
 	if err != nil {
 		return nil, err
 	}
-	return &maskedIterator{inner: it, skip: m.skip}, nil
+	return &maskedIterator{inner: it, skip: m.skip[k:], pos: pos}, nil
 }
 
 type maskedIterator struct {
 	inner Iterator
-	skip  map[int]bool
+	skip  []int // the masked indices from pos on, increasing
 	pos   int
 }
 
@@ -66,9 +74,10 @@ func (it *maskedIterator) Next() (emleak.Observation, error) {
 		}
 		i := it.pos
 		it.pos++
-		if !it.skip[i] {
+		if len(it.skip) == 0 || it.skip[0] != i {
 			return o, nil
 		}
+		it.skip = it.skip[1:]
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"falcondown/internal/emleak"
+	"falcondown/internal/fft"
 )
 
 // Batched passes. The attack consumes a campaign as fixed-size observation
@@ -18,26 +19,47 @@ import (
 // consumer, so decode latency (disk reads, CRC verification, robust
 // preprocessing) overlaps with the correlation math.
 
-// ForEachBatch makes one pass over src, calling fn on consecutive batches
-// of n observations (the last may be shorter) in corpus order. fn must not
-// keep the batch: its backing array carries the next one. A Next that
-// fails with ErrTransient is retried after backoff[k] for the k-th failure
-// in a row, on the contract that a transient failure has not consumed an
+// ForEachBatch makes one pass over src from observation start on (see
+// IterateFrom), calling fn on consecutive batches of n observations (the
+// last may be shorter) in corpus order. fn must not keep the batch or its
+// observations' slices: the next batch reuses them. A Next that fails
+// with ErrTransient is retried after backoff[k] for the k-th failure in a
+// row, on the contract that a transient failure has not consumed an
 // observation; past the schedule (nil disables retries) the error is
 // returned. An error from fn stops the pass and is returned as is.
-func ForEachBatch(src Source, n int, backoff []time.Duration, fn func(batch []emleak.Observation) error) error {
-	it, err := src.Iterate()
+func ForEachBatch(src Source, start, n int, backoff []time.Duration, fn func(batch []emleak.Observation) error) error {
+	return forEachBatch(src, start, n, backoff, func(batch []emleak.Observation, _ bool) error {
+		return fn(batch)
+	})
+}
+
+// intoIterator is an Iterator that can decode into an observation's
+// existing slices (the corpus iterator).
+type intoIterator interface {
+	nextInto(o *emleak.Observation) error
+}
+
+// forEachBatch is ForEachBatch; fn also learns whether the batch's
+// observations live in storage the walk reuses, rather than in slices the
+// source handed out.
+func forEachBatch(src Source, start, n int, backoff []time.Duration, fn func(batch []emleak.Observation, reused bool) error) error {
+	it, err := IterateFrom(src, start)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	batch := make([]emleak.Observation, 0, n)
-	attempts := 0
+	into, reused := it.(intoIterator)
+	batch := make([]emleak.Observation, n)
+	k, attempts := 0, 0
 	for {
-		o, err := it.Next()
+		if reused {
+			err = into.nextInto(&batch[k])
+		} else {
+			batch[k], err = it.Next()
+		}
 		if err == io.EOF {
-			if len(batch) > 0 {
-				return fn(batch)
+			if k > 0 {
+				return fn(batch[:k], reused)
 			}
 			return nil
 		}
@@ -50,12 +72,12 @@ func ForEachBatch(src Source, n int, backoff []time.Duration, fn func(batch []em
 			return err
 		}
 		attempts = 0
-		batch = append(batch, o)
-		if len(batch) == n {
-			if err := fn(batch); err != nil {
+		k++
+		if k == n {
+			if err := fn(batch, reused); err != nil {
 				return err
 			}
-			batch = batch[:0]
+			k = 0
 		}
 	}
 }
@@ -102,7 +124,10 @@ func (b *BatchIterator) read(src Source, batchObs int, backoff []time.Duration, 
 			return errClosed
 		}
 	}
-	err := ForEachBatch(src, batchObs, backoff, func(batch []emleak.Observation) error {
+	err := forEachBatch(src, 0, batchObs, backoff, func(batch []emleak.Observation, reused bool) error {
+		if reused {
+			return send(prefetched{batch: copyBatch(batch)})
+		}
 		return send(prefetched{batch: slices.Clone(batch)})
 	})
 	switch err {
@@ -113,6 +138,29 @@ func (b *BatchIterator) read(src Source, batchObs int, backoff []time.Duration, 
 	}
 	// send fails only with errClosed, once nothing waits for the end.
 	_ = send(prefetched{err: err})
+}
+
+// copyBatch deep-copies a batch into one arena per element type, so the
+// copy owns its data while the walk reuses the batch's.
+func copyBatch(batch []emleak.Observation) []emleak.Observation {
+	nc, ns := 0, 0
+	for _, o := range batch {
+		nc += len(o.CFFT)
+		ns += len(o.Trace.Samples)
+	}
+	cf := make([]fft.Cplx, 0, nc)
+	ss := make([]float64, 0, ns)
+	out := make([]emleak.Observation, len(batch))
+	for i, o := range batch {
+		c0, s0 := len(cf), len(ss)
+		cf = append(cf, o.CFFT...)
+		ss = append(ss, o.Trace.Samples...)
+		out[i] = emleak.Observation{
+			CFFT:  cf[c0:len(cf):len(cf)],
+			Trace: emleak.Trace{Samples: ss[s0:len(ss):len(ss)]},
+		}
+	}
+	return out
 }
 
 // Next returns the next batch in corpus order, or io.EOF after the last

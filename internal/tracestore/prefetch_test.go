@@ -3,6 +3,7 @@ package tracestore
 import (
 	"errors"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,38 +11,40 @@ import (
 )
 
 func TestPrefetchBatchesPreserveOrder(t *testing.T) {
+	// Over a corpus the walker decodes into reused observations, so each
+	// batch handed off must own its data: keeping every batch to the end
+	// must still give the corpus back.
 	obs := testCampaign(t, 11)
-	src := NewSliceSource(8, obs)
-	it := IterateBatches(src, 4, 2, nil)
-	defer it.Close()
-	var got []emleak.Observation
-	sizes := []int{}
-	for {
-		b, err := it.Next()
-		if err == io.EOF {
-			break
+	path := filepath.Join(t.TempDir(), "traces.fdt2")
+	writeCorpus(t, path, obs, Options{ChunkObs: 3})
+	corpus, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []Source{NewSliceSource(8, obs), corpus} {
+		it := IterateBatches(src, 4, 2, nil)
+		var got []emleak.Observation
+		sizes := []int{}
+		for {
+			b, err := it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, len(b))
+			got = append(got, b...)
 		}
-		if err != nil {
-			t.Fatal(err)
+		if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 3 {
+			t.Fatalf("batch sizes %v, want [4 4 3]", sizes)
 		}
-		sizes = append(sizes, len(b))
-		got = append(got, b...)
-	}
-	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 3 {
-		t.Fatalf("batch sizes %v, want [4 4 3]", sizes)
-	}
-	if len(got) != len(obs) {
-		t.Fatalf("got %d observations, want %d", len(got), len(obs))
-	}
-	for i := range obs {
-		if len(got[i].CFFT) != len(obs[i].CFFT) || got[i].CFFT[0] != obs[i].CFFT[0] ||
-			got[i].Trace.Samples[0] != obs[i].Trace.Samples[0] {
-			t.Fatalf("observation %d out of order", i)
+		sameObservations(t, obs, got)
+		// Exhausted iterators stay exhausted.
+		if _, err := it.Next(); err != io.EOF {
+			t.Fatalf("post-EOF Next: %v", err)
 		}
-	}
-	// Exhausted iterators stay exhausted.
-	if _, err := it.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
+		it.Close()
 	}
 }
 

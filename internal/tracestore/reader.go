@@ -251,8 +251,19 @@ func openShard(path string) (shardInfo, error) {
 }
 
 // Iterate implements Source.
-func (c *Corpus) Iterate() (Iterator, error) {
-	return &corpusIterator{corpus: c}, nil
+func (c *Corpus) Iterate() (Iterator, error) { return c.IterateFrom(0) }
+
+// IterateFrom implements Seeker: the pass opens the file holding
+// observation start and reads from the chunk holding it, through the
+// footer index, so no earlier chunk is read or decoded.
+func (c *Corpus) IterateFrom(start int) (Iterator, error) {
+	it := &corpusIterator{corpus: c}
+	for it.shard < len(c.shards) && start >= c.shards[it.shard].count {
+		start -= c.shards[it.shard].count
+		it.shard++
+	}
+	it.skip = max(start, 0)
+	return it, nil
 }
 
 // corpusIterator streams shards sequentially, verifying each chunk's CRC
@@ -261,26 +272,38 @@ type corpusIterator struct {
 	corpus *Corpus
 	shard  int
 	f      *os.File
-	br     *bufio.Reader
+	// skip counts the observations of the next shard to open that the
+	// pass starts after (IterateFrom).
+	skip int
 
 	// v2 state
 	chunkIdx int
-	buf      []byte // current verified chunk payload
+	buf      []byte // current verified chunk, header and payload
 	bufPos   int
+	bufSkip  int // observations of the next chunk read to skip
 	// v1 state
+	br        *bufio.Reader
 	remaining int
 	offset    int64
 	v1buf     []byte
 }
 
 func (it *corpusIterator) Next() (emleak.Observation, error) {
+	var o emleak.Observation
+	err := it.nextInto(&o)
+	return o, err
+}
+
+// nextInto is Next decoding into o, reusing o's slices: ForEachBatch's
+// path, whose batches the consumer may not keep.
+func (it *corpusIterator) nextInto(o *emleak.Observation) error {
 	for {
 		if it.f == nil {
 			if it.shard >= len(it.corpus.shards) {
-				return emleak.Observation{}, io.EOF
+				return io.EOF
 			}
 			if err := it.openShard(); err != nil {
-				return emleak.Observation{}, err
+				return err
 			}
 		}
 		s := &it.corpus.shards[it.shard]
@@ -290,27 +313,20 @@ func (it *corpusIterator) Next() (emleak.Observation, error) {
 				continue
 			}
 			if _, err := io.ReadFull(it.br, it.v1buf); err != nil {
-				return emleak.Observation{}, fmt.Errorf(
+				return fmt.Errorf(
 					"tracestore: shard %s: %w: observation truncated at offset %d",
 					s.path, ErrBadFormat, it.offset)
 			}
 			it.remaining--
 			it.offset += int64(len(it.v1buf))
-			return decodeObservation(it.v1buf, s.n), nil
+			decodeInto(o, it.v1buf, s.n)
+			return nil
 		}
 		// v2: refill the chunk buffer when drained, skipping chunks the
 		// lenient open quarantined (the list is pinned, so every pass
 		// over the corpus skips the same ones).
 		if it.bufPos >= len(it.buf) {
 			for it.chunkIdx < len(s.chunks) && s.isQuarantined(it.chunkIdx) {
-				if it.br != nil {
-					meta := s.chunks[it.chunkIdx]
-					if _, err := it.br.Discard(chunkHdrSize + int(meta.payloadLen)); err != nil {
-						return emleak.Observation{}, fmt.Errorf(
-							"tracestore: shard %s: %w: quarantined chunk %d unskippable at offset %d",
-							s.path, ErrBadFormat, it.chunkIdx, meta.offset)
-					}
-				}
 				it.chunkIdx++
 			}
 			if it.chunkIdx >= len(s.chunks) {
@@ -318,16 +334,18 @@ func (it *corpusIterator) Next() (emleak.Observation, error) {
 				continue
 			}
 			if err := it.readChunk(s); err != nil {
-				return emleak.Observation{}, err
+				return err
 			}
 			continue
 		}
-		o := decodeObservation(it.buf[it.bufPos:], s.n)
+		decodeInto(o, it.buf[it.bufPos:], s.n)
 		it.bufPos += observationSize(s.n)
-		return o, nil
+		return nil
 	}
 }
 
+// openShard opens the current shard at its it.skip-th readable
+// observation.
 func (it *corpusIterator) openShard() error {
 	s := &it.corpus.shards[it.shard]
 	f, err := os.Open(s.path)
@@ -335,72 +353,58 @@ func (it *corpusIterator) openShard() error {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	it.f = f
-	if it.corpus.lenient && s.version == version2 {
-		// Lenient v2 shards are read chunk-at-a-time through ReadAt (the
-		// index pins every offset), which lets a failed read be retried
-		// in place with backoff and quarantined chunks be skipped without
-		// a seek dance.
-		it.br = nil
-	} else {
-		it.br = bufio.NewReaderSize(f, 1<<20)
-		if _, err := it.br.Discard(headerSize); err != nil {
-			it.closeShard()
-			return fmt.Errorf("tracestore: shard %s: %w: short header", s.path, ErrBadFormat)
-		}
-	}
+	skip := it.skip
+	it.skip = 0
 	it.chunkIdx = 0
 	it.buf = it.buf[:0]
 	it.bufPos = 0
-	it.remaining = s.count
-	it.offset = headerSize
-	if s.version == version1 {
-		it.v1buf = make([]byte, observationSize(s.n))
+	it.bufSkip = 0
+	if s.version == version2 {
+		// Start at the readable chunk holding the skip-th observation.
+		for ; it.chunkIdx < len(s.chunks); it.chunkIdx++ {
+			if s.isQuarantined(it.chunkIdx) {
+				continue
+			}
+			c := int(s.chunks[it.chunkIdx].count)
+			if skip < c {
+				break
+			}
+			skip -= c
+		}
+		it.bufSkip = skip
+		return nil
 	}
+	it.remaining = s.count - skip
+	it.offset = headerSize + int64(skip)*int64(observationSize(s.n))
+	if _, err := f.Seek(it.offset, io.SeekStart); err != nil {
+		it.closeShard()
+		return fmt.Errorf("tracestore: shard %s: %w", s.path, err)
+	}
+	it.br = bufio.NewReaderSize(f, 1<<20)
+	it.v1buf = make([]byte, observationSize(s.n))
 	return nil
 }
 
-// readChunk loads and verifies the next chunk of the current v2 shard. In
-// lenient mode the read is positioned (ReadAt) and retried with bounded
-// backoff before the chunk is declared dead.
+// readChunk loads and verifies the next chunk of the current v2 shard
+// through positioned reads: the index pins every offset, so a pass holds
+// no read buffer beyond the chunk and can start at any chunk. In lenient
+// mode a failed read is retried with bounded backoff before the chunk is
+// declared dead.
 func (it *corpusIterator) readChunk(s *shardInfo) error {
 	meta := s.chunks[it.chunkIdx]
-	if cap(it.buf) < int(meta.payloadLen) {
-		it.buf = make([]byte, meta.payloadLen)
+	it.buf = chunkBuffer(it.buf, meta)
+	read := readChunkAt
+	if it.corpus.lenient {
+		read = readChunkRetry
 	}
-	it.buf = it.buf[:meta.payloadLen]
-	if it.br == nil {
-		if err := readChunkRetry(it.f, it.buf, meta); err != nil {
-			return fmt.Errorf("tracestore: shard %s: chunk %d: %w", s.path, it.chunkIdx, err)
-		}
-		it.chunkIdx++
-		it.bufPos = 0
-		return nil
-	}
-	var hdr [chunkHdrSize]byte
-	if _, err := io.ReadFull(it.br, hdr[:]); err != nil {
-		return fmt.Errorf("tracestore: shard %s: %w: chunk %d header truncated at offset %d",
-			s.path, ErrBadFormat, it.chunkIdx, meta.offset)
-	}
-	count := binary.LittleEndian.Uint32(hdr[0:])
-	payloadLen := binary.LittleEndian.Uint32(hdr[4:])
-	crc := binary.LittleEndian.Uint32(hdr[8:])
-	if count != meta.count || payloadLen != meta.payloadLen {
-		return fmt.Errorf("tracestore: shard %s: %w: chunk %d header (count=%d len=%d) disagrees with index (count=%d len=%d)",
-			s.path, ErrBadFormat, it.chunkIdx, count, payloadLen, meta.count, meta.payloadLen)
-	}
-	if _, err := io.ReadFull(it.br, it.buf); err != nil {
-		return fmt.Errorf("tracestore: shard %s: %w: chunk %d payload truncated at offset %d",
-			s.path, ErrBadFormat, it.chunkIdx, meta.offset)
-	}
-	if got := crc32.Checksum(it.buf, castagnoli); got != crc {
-		mCRCRejects.Inc()
-		return fmt.Errorf("tracestore: shard %s: %w: chunk %d at offset %d (crc %08x, want %08x)",
-			s.path, ErrChecksum, it.chunkIdx, meta.offset, got, crc)
+	if err := read(it.f, it.buf, meta); err != nil {
+		return fmt.Errorf("tracestore: shard %s: chunk %d: %w", s.path, it.chunkIdx, err)
 	}
 	mChunksDecoded.Inc()
-	mBytesDecoded.Add(int64(chunkHdrSize + len(it.buf)))
+	mBytesDecoded.Add(int64(len(it.buf)))
 	it.chunkIdx++
-	it.bufPos = 0
+	it.bufPos = chunkHdrSize + it.bufSkip*observationSize(s.n)
+	it.bufSkip = 0
 	return nil
 }
 
@@ -419,6 +423,7 @@ func (it *corpusIterator) Close() error {
 	if it.f != nil {
 		err := it.f.Close()
 		it.f = nil
+		it.br = nil
 		return err
 	}
 	return nil

@@ -28,6 +28,45 @@ type Iterator interface {
 	Close() error
 }
 
+// Seeker is a Source that can start a pass at any observation index
+// without reading the observations before it. Fleet tasks start their
+// passes at their first shard through it.
+type Seeker interface {
+	// IterateFrom starts a fresh pass whose first observation is the
+	// start-th of the corpus (io.EOF at once when start ≥ Count).
+	IterateFrom(start int) (Iterator, error)
+}
+
+// IterateFrom starts a pass over src at observation start: by seeking
+// when src is a Seeker, else by discarding the first start observations
+// at the first Next. A Next that fails while discarding keeps count of
+// what it discarded, so a retried Next goes on from there.
+func IterateFrom(src Source, start int) (Iterator, error) {
+	if s, ok := src.(Seeker); ok {
+		return s.IterateFrom(start)
+	}
+	it, err := src.Iterate()
+	if err != nil || start <= 0 {
+		return it, err
+	}
+	return &skipIterator{Iterator: it, skip: start}, nil
+}
+
+// skipIterator discards its first skip observations.
+type skipIterator struct {
+	Iterator
+	skip int
+}
+
+func (it *skipIterator) Next() (emleak.Observation, error) {
+	for ; it.skip > 0; it.skip-- {
+		if _, err := it.Iterator.Next(); err != nil {
+			return emleak.Observation{}, err
+		}
+	}
+	return it.Iterator.Next()
+}
+
 // SliceSource adapts an in-memory []Observation to the Source interface,
 // so existing slice-based campaigns flow through the same streaming
 // attack paths.
@@ -51,6 +90,11 @@ func (s *SliceSource) Count() int { return len(s.obs) }
 // Iterate implements Source.
 func (s *SliceSource) Iterate() (Iterator, error) {
 	return &sliceIterator{obs: s.obs}, nil
+}
+
+// IterateFrom implements Seeker.
+func (s *SliceSource) IterateFrom(start int) (Iterator, error) {
+	return &sliceIterator{obs: s.obs, pos: max(start, 0)}, nil
 }
 
 type sliceIterator struct {
