@@ -246,32 +246,31 @@ func TestFusedExpHypothesisZeroTakesZeroTimesSample(t *testing.T) {
 	}
 }
 
-func TestRecycledPartialsDoNotLeak(t *testing.T) {
-	// The parallel path reuses each folded partial for a later shard of
-	// the same pass. A reset that missed any state would leak one shard's
-	// sums into another, so every job kind — fused or per-trace — must
-	// land on the serial bytes at every worker count, and a reset clone
-	// must accumulate a shard exactly like a fresh one.
-	dev, _, _ := deviceFor(t, 8, 2.0, 75)
-	obs := collect(t, dev, 11*shardObs+5, 76)
-	src := tracestore.NewSliceSource(8, obs)
-	kinds := func() []job {
-		jobs := []job{
-			newSignJob(3, PartIm),
-			newJointSignJob(1, fpr.FPR(0x3ff8000000000000), fpr.FPR(0x4008000000000000)),
-			&welfordJob{},
-		}
-		for _, c := range fusedCases()[:4] {
-			jobs = append(jobs, c.mk())
-		}
-		return append(jobs, fusedCases()[len(fusedCases())-1].mk())
+// jobKinds returns zero-state jobs of every kind: the per-trace sign,
+// joint-sign and Welford jobs, and the fused exponent, extend and prune
+// jobs.
+func jobKinds() []job {
+	jobs := []job{
+		newSignJob(3, PartIm),
+		newJointSignJob(1, fpr.FPR(0x3ff8000000000000), fpr.FPR(0x4008000000000000)),
+		&welfordJob{},
 	}
-	ref := kinds()
+	for _, c := range fusedCases()[:4] {
+		jobs = append(jobs, c.mk())
+	}
+	return append(jobs, fusedCases()[len(fusedCases())-1].mk())
+}
+
+// parallelMatchesSerial checks that parallelPass at workers 2, 3 and 8
+// leaves every job kind on serialPass's State() bytes.
+func parallelMatchesSerial(t *testing.T, src Source) {
+	t.Helper()
+	ref := jobKinds()
 	if err := serialPass(src, ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8} {
-		got := kinds()
+		got := jobKinds()
 		if err := parallelPass(src, got, w); err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +280,18 @@ func TestRecycledPartialsDoNotLeak(t *testing.T) {
 			}
 		}
 	}
-	for i, j := range kinds() {
+}
+
+func TestRecycledPartialsDoNotLeak(t *testing.T) {
+	// The parallel path reuses each merged partial for a later shard of
+	// the same pass. A reset that missed any state would leak one shard's
+	// sums into another, so every job kind — fused or per-trace — must
+	// land on the serial bytes at every worker count, and a reset clone
+	// must accumulate a shard exactly like a fresh one.
+	dev, _, _ := deviceFor(t, 8, 2.0, 75)
+	obs := collect(t, dev, 11*shardObs+5, 76)
+	parallelMatchesSerial(t, tracestore.NewSliceSource(8, obs))
+	for i, j := range jobKinds() {
 		fresh, reused := j.clone(), j.clone()
 		accumulateShard(reused, obs[shardObs:2*shardObs])
 		reused.reset()
@@ -291,4 +301,15 @@ func TestRecycledPartialsDoNotLeak(t *testing.T) {
 			t.Fatalf("job %d (%s): a reset clone accumulates differently from a fresh one", i, j.spec().Kind)
 		}
 	}
+}
+
+func TestParallelMixedFoldPathsMatchSerial(t *testing.T) {
+	// A block's next shard folds in place while a later shard's partial is
+	// built and parked, then merged once the in-place fold ends; the main
+	// jobs must still take the serial pass's adds. holdInPlaceFolds makes
+	// a later partial arrive during an in-place fold on any scheduler.
+	holdInPlaceFolds = true
+	t.Cleanup(func() { holdInPlaceFolds = false })
+	dev, _, _ := deviceFor(t, 8, 2.0, 79)
+	parallelMatchesSerial(t, tracestore.NewSliceSource(8, collect(t, dev, 11*shardObs+5, 80)))
 }

@@ -332,12 +332,7 @@ func (j *expJob) merge(o job) {
 // (the magnitude prior depends on n; see the exponent-tie discussion in
 // attackExponent).
 func (j *expJob) result(n int) (biasedExp int, corr float64, alts []int) {
-	r := make([]float64, nExpHyp)
-	for _, e := range j.engines {
-		for i, v := range e.Corr() {
-			r[i] += v / 2
-		}
-	}
+	r := j.scores()
 	best := cpa.TopK(r, 1)[0]
 	prior := 1023 + int(math.Round(math.Log2(math.Sqrt(float64(n)/2)*ntru.SigmaFG(n))))
 	// The degeneracy family of the winner: hypotheses offset by multiples
@@ -372,6 +367,17 @@ func (j *expJob) result(n int) (biasedExp int, corr float64, alts []int) {
 		return abs(alts[i]-prior) < abs(alts[j]-prior)
 	})
 	return pick, r[pick], alts
+}
+
+// scores is each exponent's mean correlation over both windows.
+func (j *expJob) scores() []float64 {
+	r := make([]float64, nExpHyp)
+	for _, e := range j.engines {
+		for i, v := range e.Corr() {
+			r[i] += v / 2
+		}
+	}
+	return r
 }
 
 // extendTarget is one partial product touching the attacked mantissa
@@ -436,15 +442,12 @@ func (s *extendState) beginRound() *extendRoundJob {
 	}
 	k := uint(s.low + w)
 	mask := (uint64(1) << k) - 1
+	// The parents are distinct values below 2^low (each round keeps
+	// distinct children), so every child is distinct too.
 	next := make([]uint64, 0, len(s.cands)<<w)
-	seen := make(map[uint64]bool, len(s.cands)<<w)
 	for _, c := range s.cands {
 		for v := uint64(0); v < 1<<w; v++ {
-			nv := c.value | v<<s.low
-			if !seen[nv] {
-				seen[nv] = true
-				next = append(next, nv)
-			}
+			next = append(next, c.value|v<<s.low)
 		}
 	}
 	if s.high && s.low+w == s.width {
@@ -764,20 +767,25 @@ func (j *pruneJob) reset() { resetEngines(j.engines) }
 func (j *pruneJob) cells() int { return len(j.engines) * len(j.pairs) }
 
 func (j *pruneJob) result() (d, c uint64, corr, gap float64) {
-	// Combined score: the mean correlation across additions and windows.
-	score := make([]float64, len(j.pairs))
-	for _, e := range j.engines {
-		for i, r := range e.Corr() {
-			score[i] += r / float64(len(j.engines))
-		}
-	}
-	ranked := cpa.Rank(score)
+	ranked := cpa.TopK(j.scores(), 2)
 	best := ranked[0]
 	gap = 1.0
 	if len(ranked) > 1 {
 		gap = best.Corr - ranked[1].Corr
 	}
 	return j.pairs[best.Index].d, j.pairs[best.Index].c, best.Corr, gap
+}
+
+// scores is each pair's combined score: the mean correlation across
+// additions and windows.
+func (j *pruneJob) scores() []float64 {
+	score := make([]float64, len(j.pairs))
+	for _, e := range j.engines {
+		for i, r := range e.Corr() {
+			score[i] += r / float64(len(j.engines))
+		}
+	}
+	return score
 }
 
 // jointSignJob resolves the two sign bits of a complex coefficient by

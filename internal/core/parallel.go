@@ -20,11 +20,12 @@ package core
 //
 // The fused kernels (fusedJob) build a shard's partial in registers and
 // fold it straight into the job, so the serial path needs no partial
-// engine at all; the parallel path still builds partials, because they
-// finish out of order, and recycles each one once it has been folded.
+// engine at all. The parallel path folds a shard the same way when it is
+// its job block's next one; only a shard that arrives early builds a
+// partial, parked until its turn and recycled once it has been merged.
 //
-// Workers race to *produce* shard partials, but the fold consumes them in
-// shard order, so the sequence of floating-point operations hitting the
+// Workers race to take tiles, but every job takes its shards in shard
+// order, so the sequence of floating-point operations hitting the
 // main accumulators is identical for one worker, eight workers, or the
 // single-threaded serialPass — and identical to feedSlice on the same
 // observations. Determinism comes from the pinned order, not from any
@@ -36,6 +37,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"falcondown/internal/emleak"
@@ -174,30 +176,76 @@ func runPass(src Source, jobs []job, workers int) error {
 	return parallelPass(src, jobs, workers)
 }
 
-// tile is one unit of parallel work: accumulate one corpus shard into
-// zero-state partials of one block of jobs.
+// tile is one unit of parallel work: fold one corpus shard into one
+// block of jobs.
 type tile struct {
 	shard int
 	obs   []emleak.Observation
 	block int
 }
 
-// blockFolder owns one block of main jobs and folds shard partials into
-// them in strict shard-index order, parking early arrivals until their
-// turn comes. The number of parked partials is bounded by the number of
-// tiles in flight (prefetch depth × blocks), so memory stays bounded.
-// Folded partials go on a free list and carry a later shard of the same
-// pass, so a pass allocates about one partial per tile in flight rather
-// than one per shard.
+// holdInPlaceFolds, set only by tests, makes an in-place fold wait before
+// it ends until a later shard's partial of its block is parked, so the
+// mixed fold paths meet on any scheduler. Only one fold of a pass waits at
+// a time, and the end of dispatch releases it, so the pass cannot stall.
+var holdInPlaceFolds bool
+
+// blockFolder owns one block of main jobs and folds shards into them in
+// strict shard-index order. A tile whose shard is the block's next folds
+// straight into the jobs through foldShard, as the serial pass does. A
+// tile that arrives early accumulates into zero-state partials, which are
+// parked until their turn comes and then merged; the number parked is
+// bounded by the number of tiles in flight (prefetch depth × blocks).
+// Merged partials go on a free list and carry a later early tile, so a
+// pass allocates about one partial per tile in flight.
 type blockFolder struct {
 	mu      sync.Mutex
 	jobs    []job
 	next    int
 	pending map[int][]job
 	free    [][]job
+
+	// Under holdInPlaceFolds: held is the pass's one waiting fold, and
+	// parked is signalled when a partial is parked and when dispatch ends,
+	// which sets dispatched.
+	held       *atomic.Bool
+	parked     *sync.Cond
+	dispatched bool
 }
 
-// partial returns zero-state partials of the block's jobs: a folded set
+// fold folds tile t into the block. The in-place fold runs outside the
+// lock: next advances only when it ends, so meanwhile no other tile of
+// the block is the next one and every partial deposited waits for it.
+// Either way each main job takes its shards' adds in shard order, so its
+// bits are the serial pass's.
+func (f *blockFolder) fold(t tile) {
+	f.mu.Lock()
+	inPlace := t.shard == f.next
+	f.mu.Unlock()
+	if !inPlace {
+		sp := obs.StartSpan(mSweepShardSeconds)
+		partial := f.partial()
+		for _, c := range partial {
+			accumulateShard(c, t.obs)
+		}
+		f.deposit(t.shard, partial)
+		sp.End()
+		return
+	}
+	foldShard(f.jobs, t.obs)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.held != nil && f.held.CompareAndSwap(false, true) {
+		for len(f.pending) == 0 && !f.dispatched {
+			f.parked.Wait()
+		}
+		f.held.Store(false)
+	}
+	f.next++
+	f.drain()
+}
+
+// partial returns zero-state partials of the block's jobs: a merged set
 // from the free list, reset, or fresh clones.
 func (f *blockFolder) partial() []job {
 	f.mu.Lock()
@@ -220,6 +268,7 @@ func (f *blockFolder) partial() []job {
 	return p
 }
 
+// deposit parks an early tile's partial and merges whatever is now due.
 func (f *blockFolder) deposit(shard int, partial []job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -227,6 +276,15 @@ func (f *blockFolder) deposit(shard int, partial []job) {
 		f.pending = make(map[int][]job)
 	}
 	f.pending[shard] = partial
+	f.drain()
+	if f.parked != nil {
+		f.parked.Broadcast()
+	}
+}
+
+// drain merges the parked partials that are due, in shard order; f.mu
+// must be held.
+func (f *blockFolder) drain() {
 	for {
 		p, ok := f.pending[f.next]
 		if !ok {
@@ -244,17 +302,21 @@ func (f *blockFolder) deposit(shard int, partial []job) {
 // parallelPass is the tiled parallel engine. A prefetching reader decodes
 // the corpus into canonical shards ahead of the accumulators; the
 // dispatcher crosses each shard with the job blocks into tiles; workers
-// accumulate tiles into zero-state partials; per-block folders consume
-// the partials in shard order and recycle them. Block partitioning may
-// depend on the worker count — each job's partials are folded in shard
-// order regardless of which block (or worker) carried it, so the bits
-// cannot.
+// fold each tile in place when it is its block's next shard and into a
+// parked partial otherwise. Block partitioning may depend on the worker
+// count — each job takes its shards in shard order regardless of which
+// block (or worker) carried them, so the bits cannot.
 func parallelPass(src Source, jobs []job, workers int) error {
 	nBlocks := min(len(jobs), workers)
 	per := (len(jobs) + nBlocks - 1) / nBlocks
+	var held atomic.Bool
 	folders := make([]*blockFolder, 0, nBlocks)
 	for lo := 0; lo < len(jobs); lo += per {
-		folders = append(folders, &blockFolder{jobs: jobs[lo:min(lo+per, len(jobs))]})
+		f := &blockFolder{jobs: jobs[lo:min(lo+per, len(jobs))]}
+		if holdInPlaceFolds {
+			f.held, f.parked = &held, sync.NewCond(&f.mu)
+		}
+		folders = append(folders, f)
 	}
 
 	tiles := make(chan tile, workers)
@@ -264,14 +326,7 @@ func parallelPass(src Source, jobs []job, workers int) error {
 		go func() {
 			defer wg.Done()
 			for t := range tiles {
-				sp := obs.StartSpan(mSweepShardSeconds)
-				f := folders[t.block]
-				partial := f.partial()
-				for _, c := range partial {
-					accumulateShard(c, t.obs)
-				}
-				f.deposit(t.shard, partial)
-				sp.End()
+				folders[t.block].fold(t)
 			}
 		}()
 	}
@@ -282,6 +337,14 @@ func parallelPass(src Source, jobs []job, workers int) error {
 		}
 	})
 	close(tiles)
+	if holdInPlaceFolds {
+		for _, f := range folders {
+			f.mu.Lock()
+			f.dispatched = true
+			f.parked.Broadcast()
+			f.mu.Unlock()
+		}
+	}
 	wg.Wait()
 	return readErr
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"falcondown/internal/cpa"
 	"falcondown/internal/emleak"
@@ -144,13 +146,18 @@ func energyOutliers(vals []float64, k float64) []int {
 	return out
 }
 
+// medianOf returns the middle of vals as an insertion sort by < would
+// order them. Such a sort never moves a value past a NaN and keeps equal
+// values (−0 and +0 too) in their order, so it stable-sorts each NaN-free
+// run in place; medianOf does exactly that, in O(n log n) where the
+// insertion sort was quadratic in the trace count.
 func medianOf(vals []float64) float64 {
 	s := append([]float64(nil), vals...)
-	// Insertion sort: the slices here are one value per trace, and the
-	// cost is dwarfed by the corpus sweep that produced them.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	lo := 0
+	for i := 0; i <= len(s); i++ {
+		if i == len(s) || math.IsNaN(s[i]) {
+			slices.SortStableFunc(s[lo:i], cmp.Compare[float64])
+			lo = i + 1
 		}
 	}
 	if len(s)%2 == 1 {

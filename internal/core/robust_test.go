@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -136,5 +138,40 @@ func TestRobustCheckpointBinding(t *testing.T) {
 	}
 	if err := ck.matches(8, 100, cfgB); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("different Robust config must mismatch, got %v", err)
+	}
+}
+
+// insertionMedian is medianOf as it was written, with an insertion sort
+// by <: the reference for NaN positions and the order of −0 and +0.
+func insertionMedian(vals []float64) float64 {
+	s := append([]float64(nil), vals...)
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+func TestMedianOfMatchesInsertionSort(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	pool := []float64{math.NaN(), 0, math.Copysign(0, -1), 1, -1, 2.5, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 3000; trial++ {
+		vals := make([]float64, 1+r.Intn(200))
+		for i := range vals {
+			if r.Intn(3) == 0 {
+				vals[i] = r.NormFloat64()
+			} else {
+				vals[i] = pool[r.Intn(1+trial%len(pool))]
+			}
+		}
+		got, want := medianOf(vals), insertionMedian(vals)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: medianOf = %v (%#x), insertion sort gives %v (%#x) for %v",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want), vals)
+		}
 	}
 }

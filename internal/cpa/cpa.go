@@ -10,7 +10,7 @@ package cpa
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Engine accumulates the Pearson correlation of each hypothesis against a
@@ -150,22 +150,70 @@ type Guess struct {
 // positively-coupled channel puts the correct guess at a *positive*
 // correlation maximum (as the paper notes for the symmetric sign-bit
 // leak), so ranking uses the signed value.
+//
+// Equal correlations (±0 included) and NaNs are ordered as sort.Slice
+// with the less function a.Corr > b.Corr orders them: slices.SortFunc is
+// generated from the same pdqsort template and asks the same questions in
+// the same order, so the permutation is the same. Attack results hang on
+// it, because exact ties are common (an exponent's degeneracy family ties
+// exactly at any trace count).
 func Rank(corr []float64) []Guess {
 	g := make([]Guess, len(corr))
 	for i, c := range corr {
 		g[i] = Guess{Index: i, Corr: c}
 	}
-	sort.Slice(g, func(a, b int) bool { return g[a].Corr > g[b].Corr })
+	slices.SortFunc(g, func(a, b Guess) int {
+		switch {
+		case a.Corr > b.Corr:
+			return -1
+		case a.Corr < b.Corr:
+			return 1
+		}
+		return 0
+	})
 	return g
 }
 
-// TopK returns the k best guesses (fewer if there are fewer hypotheses).
+// TopK returns the k best guesses (fewer if there are fewer hypotheses):
+// always exactly Rank(corr)[:k]. It selects the k+1 largest correlations
+// in one scan; when they are pairwise distinct and no correlation is NaN,
+// the first k of them in decreasing order are what any sort puts first,
+// so it returns them without sorting the rest. Otherwise the order of
+// equal or unordered values depends on the sort's own steps, and TopK
+// takes Rank's.
 func TopK(corr []float64, k int) []Guess {
-	r := Rank(corr)
-	if len(r) > k {
-		r = r[:k]
+	// top holds the k+1 largest seen so far in decreasing order. A value
+	// equal to the last is not taken: the last is only a bound, and every
+	// value left out stays at or below it, hence below the k-th.
+	top := make([]Guess, 0, min(k+1, len(corr)))
+	for i, c := range corr {
+		if math.IsNaN(c) {
+			return rankTop(corr, k)
+		}
+		if len(top) == cap(top) {
+			if !(c > top[len(top)-1].Corr) {
+				continue
+			}
+			top = top[:len(top)-1]
+		}
+		p := len(top)
+		for p > 0 && c > top[p-1].Corr {
+			p--
+		}
+		top = slices.Insert(top, p, Guess{Index: i, Corr: c})
 	}
-	return r
+	for i := 1; i < len(top); i++ {
+		if top[i].Corr == top[i-1].Corr {
+			return rankTop(corr, k)
+		}
+	}
+	return top[:min(k, len(top))]
+}
+
+// rankTop is Rank(corr)[:k].
+func rankTop(corr []float64, k int) []Guess {
+	r := Rank(corr)
+	return r[:min(k, len(r))]
 }
 
 // Threshold returns the two-sided significance threshold on |r| at the
