@@ -242,14 +242,12 @@ func run(tracePath, pubPath, msg, sigOut, keyOut string, lenient, resume bool, c
 			cfg.Robust.TrimSigmas, cfg.Robust.ResyncShift, cfg.Robust.Winsorize)
 	}
 	fmt.Println("running streamed divide-and-conquer extend-and-prune extraction...")
-	var priv *falcon.PrivateKey
-	var report *core.RecoveryReport
+	var src core.Source = corpus
 	if dist != nil {
 		fmt.Println("corpus sweeps distributed over the worker fleet")
-		priv, report, err = core.RecoverKeyDistributed(corpus, pub, cfg, store, dist)
-	} else {
-		priv, report, err = core.RecoverKeyResumable(corpus, pub, cfg, store)
+		src = core.WithDistributor(corpus, dist)
 	}
+	priv, report, err := core.RecoverKeyResumable(src, pub, cfg, store)
 	if err != nil {
 		printPartialReport(report)
 		return fmt.Errorf("key recovery failed (detected, not silent): %w", err)

@@ -403,7 +403,7 @@ func (s *Server) attack(ctx context.Context, c *Campaign, pub *falcon.PublicKey)
 		// local run — the differential suite holds at fleet granularity.
 		dist := s.cfg.Distributor(filepath.Join(c.ID, traceFile), corpus)
 		c.log.append(Event{Type: EventAttacking, Msg: "distributed over the worker fleet"})
-		priv, report, err = core.RecoverKeyDistributed(corpus, pub, cfg, ws, dist)
+		priv, report, err = core.RecoverKeyResumable(core.WithDistributor(corpus, dist), pub, cfg, ws)
 		if fr, ok := dist.(fleetReporter); ok {
 			c.log.append(Event{Type: EventFleet, Msg: fr.Summary()})
 		}

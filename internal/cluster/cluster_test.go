@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -133,7 +136,7 @@ func runFleet(t *testing.T, f *fixture, c *Coordinator) (*falcon.PrivateKey, *co
 		t.Fatal(err)
 	}
 	store := &core.FileCheckpoint{Path: filepath.Join(t.TempDir(), "attack.ckpt")}
-	priv, rep, err := core.RecoverKeyDistributed(src, f.pub, refConfig(), store, c)
+	priv, rep, err := core.RecoverKeyResumable(core.WithDistributor(src, c), f.pub, refConfig(), store)
 	if err != nil {
 		t.Fatalf("distributed recovery: %v", err)
 	}
@@ -271,14 +274,14 @@ func TestFleetResumeAtDifferentNodeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	c4 := New(Options{Workers: urls, Corpus: fixtureCorpus, ShardsPerTask: 2})
-	_, _, err = core.RecoverKeyDistributed(src, f.pub, refConfig(), &killStore{inner: store, remaining: 2}, c4)
+	_, _, err = core.RecoverKeyResumable(core.WithDistributor(src, c4), f.pub, refConfig(), &killStore{inner: store, remaining: 2})
 	if !errors.Is(err, errKilled) {
 		t.Fatalf("interrupted fleet run returned %v, want the simulated crash", err)
 	}
 
 	solo, _ := startFleet(t, f.root, 1)
 	c1 := New(Options{Workers: solo, Corpus: fixtureCorpus, ShardsPerTask: 2})
-	priv, rep, err := core.RecoverKeyDistributed(src, f.pub, refConfig(), store, c1)
+	priv, rep, err := core.RecoverKeyResumable(core.WithDistributor(src, c1), f.pub, refConfig(), store)
 	if err != nil {
 		t.Fatalf("resume on smaller fleet: %v", err)
 	}
@@ -365,6 +368,37 @@ func TestWorkerConfinesCorpusPaths(t *testing.T) {
 	}
 	if _, err := w.resolve("sub/traces.fdt2"); err != nil {
 		t.Fatalf("resolve rejected a legal relative path: %v", err)
+	}
+}
+
+func TestWorkerRejectsUnknownTaskFields(t *testing.T) {
+	// A peer built from an older commit sends fields this worker no longer
+	// has: the job lane offset "jobLo" of a task request, or the Welford
+	// job's "transform" and "clamp". The worker must refuse the frame with
+	// 400, which the coordinator retries and then computes locally, rather
+	// than sweep with part of the request ignored.
+	f := campaign(t)
+	h := NewWorker(f.root).Handler()
+	post := func(payload string) int {
+		body, err := json.Marshal(envelope{CRC: crc32.Checksum([]byte(payload), crcTable), Payload: json.RawMessage(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/task", bytes.NewReader(body)))
+		return rec.Code
+	}
+	const task = `{"corpus":%q,"view":{},"jobs":[{"kind":"welford"%s}],%s"shardLo":0,"shardHi":1}`
+	if code := post(fmt.Sprintf(task, fixtureCorpus, "", "")); code != http.StatusOK {
+		t.Fatalf("current task request answered %d, want 200", code)
+	}
+	for _, legacy := range []string{
+		fmt.Sprintf(task, fixtureCorpus, "", `"jobLo":0,`),
+		fmt.Sprintf(task, fixtureCorpus, `,"clamp":true`, ""),
+	} {
+		if code := post(legacy); code != http.StatusBadRequest {
+			t.Fatalf("task request %s answered %d, want 400", legacy, code)
+		}
 	}
 }
 

@@ -261,7 +261,6 @@ func (c *Coordinator) runTask(p *core.DistPass, inflight *sync.WaitGroup, taskId
 		View:    p.View(),
 		BlobURL: c.opts.BlobURL,
 		Jobs:    p.Jobs(),
-		JobLo:   0,
 		ShardLo: shardLo,
 		ShardHi: shardHi,
 	}
@@ -287,12 +286,12 @@ func (c *Coordinator) runTask(p *core.DistPass, inflight *sync.WaitGroup, taskId
 	// Graceful degradation: the fleet is gone (or was never there, or is
 	// quarantined); the coordinator computes the block itself, through
 	// the same wire jobs.
-	parts, err := p.Compute(shardLo, shardHi, 0, p.NumJobs())
+	parts, err := p.Compute(shardLo, shardHi)
 	if err != nil {
 		return err
 	}
 	for _, sp := range parts {
-		if err := p.Deposit(0, sp); err != nil {
+		if err := p.Deposit(sp); err != nil {
 			return err
 		}
 	}
@@ -374,7 +373,7 @@ func (c *Coordinator) crossCheckedAttempt(p *core.DistPass, req taskRequest, tas
 	}
 	if reflect.DeepEqual(pres.Partials, wres.Partials) {
 		for _, sp := range pres.Partials {
-			if derr := p.Deposit(req.JobLo, sp); derr != nil {
+			if derr := p.Deposit(sp); derr != nil {
 				c.bump(func(r *Report) { r.Rejected++ })
 				mFleetRejected.Inc()
 				return derr
@@ -384,7 +383,7 @@ func (c *Coordinator) crossCheckedAttempt(p *core.DistPass, req taskRequest, tas
 	}
 	c.bump(func(r *Report) { r.Mismatches++ })
 	mFleetMismatches.Inc()
-	truth, err := p.Compute(req.ShardLo, req.ShardHi, 0, p.NumJobs())
+	truth, err := p.Compute(req.ShardLo, req.ShardHi)
 	if err != nil {
 		return err
 	}
@@ -427,7 +426,7 @@ func (c *Coordinator) attempt(p *core.DistPass, node *workerNode, req taskReques
 		return err
 	}
 	for _, sp := range resp.Partials {
-		if derr := p.Deposit(req.JobLo, sp); derr != nil {
+		if derr := p.Deposit(sp); derr != nil {
 			c.bump(func(r *Report) { r.Rejected++ })
 			mFleetRejected.Inc()
 			return derr

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -46,7 +47,9 @@ func seal(v any) ([]byte, error) {
 }
 
 // open reads a framed body of at most limit bytes, verifies the digest,
-// and decodes the payload into v.
+// and decodes the payload into v. A payload field v does not declare is
+// rejected: a peer built from another commit fails loudly instead of
+// having part of its request ignored.
 func open(r io.Reader, limit int64, v any) error {
 	data, err := io.ReadAll(io.LimitReader(r, limit+1))
 	if err != nil {
@@ -65,7 +68,9 @@ func open(r io.Reader, limit int64, v any) error {
 		mFrameRejects.Inc()
 		return errCorrupt{fmt.Errorf("digest %08x, frame claims %08x", got, env.CRC)}
 	}
-	if err := json.Unmarshal(env.Payload, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(env.Payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		mFrameRejects.Inc()
 		return errCorrupt{err}
 	}

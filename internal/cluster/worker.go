@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"falcondown/internal/atomicfile"
 	"falcondown/internal/core"
 	"falcondown/internal/obs"
 	"falcondown/internal/tracestore"
@@ -23,8 +24,8 @@ import (
 // under this.
 const maxFrameBytes = 1 << 27 // 128 MiB
 
-// taskRequest describes one block of work: rebuild the corpus view from
-// the spec, rebuild the pass's jobs from shard shardLo, and sweep shards
+// taskRequest describes one block of work: rebuild the corpus view and
+// every job of the pass from their specs, and sweep shards
 // [shardLo, shardHi).
 type taskRequest struct {
 	// Corpus names the trace corpus, resolved against the worker's root.
@@ -37,13 +38,10 @@ type taskRequest struct {
 	// worker whose replica is missing or divergent fetches authoritative
 	// shards from it instead of rejecting the task.
 	BlobURL string `json:"blobURL,omitempty"`
-	// Jobs are the pass's accumulation jobs in pass order.
-	Jobs []core.JobSpec `json:"jobs"`
-	// JobLo is the pass-level index of Jobs[0], echoed back so the
-	// coordinator deposits against the right fold lanes.
-	JobLo   int `json:"jobLo"`
-	ShardLo int `json:"shardLo"`
-	ShardHi int `json:"shardHi"`
+	// Jobs are all of the pass's accumulation jobs, in pass order.
+	Jobs    []core.JobSpec `json:"jobs"`
+	ShardLo int            `json:"shardLo"`
+	ShardHi int            `json:"shardHi"`
 }
 
 // taskResponse carries one ShardPartial per swept shard, in shard order.
@@ -331,19 +329,7 @@ func (w *Worker) assemble(pin *core.CorpusPin, blobURL string, local *tracestore
 		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
 			return nil, 0, err
 		}
-		tmp, err := os.CreateTemp(cacheDir, "blob-*.tmp")
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := tmp.Write(payload); err == nil {
-			err = tmp.Sync()
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return nil, 0, err
-		}
-		if err := os.Rename(tmp.Name(), cachedPath); err != nil {
-			os.Remove(tmp.Name())
+		if err := atomicfile.WriteFile(cachedPath, payload, 0o600); err != nil {
 			return nil, 0, err
 		}
 		paths[i] = cachedPath

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
 
+	"falcondown/internal/atomicfile"
 	"falcondown/internal/fpr"
 )
 
@@ -166,27 +166,7 @@ func (f *FileCheckpoint) Save(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	dir := filepath.Dir(f.Path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(f.Path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), f.Path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(f.Path, data, 0o600); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return nil

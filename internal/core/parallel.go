@@ -190,6 +190,32 @@ type tile struct {
 // a time, and the end of dispatch releases it, so the pass cannot stall.
 var holdInPlaceFolds bool
 
+// inOrder folds shard partials into a block of jobs in strict
+// shard-index order: a partial that arrives before its turn waits in
+// pending until every earlier shard has folded. The parallel engine's
+// blockFolder and the fleet's DistPass both fold through it, each under
+// its own lock.
+type inOrder struct {
+	jobs    []job
+	next    int           // next shard index to fold
+	pending map[int][]job // partials parked until their turn
+}
+
+// drain merges the parked partials of shards next, next+1, … while they
+// are present; recycle, when non-nil, receives each merged partial.
+func (o *inOrder) drain(recycle func([]job)) {
+	for p, ok := o.pending[o.next]; ok; p, ok = o.pending[o.next] {
+		delete(o.pending, o.next)
+		for i, j := range o.jobs {
+			j.merge(p[i])
+		}
+		if recycle != nil {
+			recycle(p)
+		}
+		o.next++
+	}
+}
+
 // blockFolder owns one block of main jobs and folds shards into them in
 // strict shard-index order. A tile whose shard is the block's next folds
 // straight into the jobs through foldShard, as the serial pass does. A
@@ -199,11 +225,9 @@ var holdInPlaceFolds bool
 // Merged partials go on a free list and carry a later early tile, so a
 // pass allocates about one partial per tile in flight.
 type blockFolder struct {
-	mu      sync.Mutex
-	jobs    []job
-	next    int
-	pending map[int][]job
-	free    [][]job
+	mu sync.Mutex
+	inOrder
+	free [][]job
 
 	// Under holdInPlaceFolds: held is the pass's one waiting fold, and
 	// parked is signalled when a partial is parked and when dispatch ends,
@@ -242,7 +266,7 @@ func (f *blockFolder) fold(t tile) {
 		f.held.Store(false)
 	}
 	f.next++
-	f.drain()
+	f.drain(f.recycle)
 }
 
 // partial returns zero-state partials of the block's jobs: a merged set
@@ -272,32 +296,15 @@ func (f *blockFolder) partial() []job {
 func (f *blockFolder) deposit(shard int, partial []job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.pending == nil {
-		f.pending = make(map[int][]job)
-	}
 	f.pending[shard] = partial
-	f.drain()
+	f.drain(f.recycle)
 	if f.parked != nil {
 		f.parked.Broadcast()
 	}
 }
 
-// drain merges the parked partials that are due, in shard order; f.mu
-// must be held.
-func (f *blockFolder) drain() {
-	for {
-		p, ok := f.pending[f.next]
-		if !ok {
-			return
-		}
-		delete(f.pending, f.next)
-		for i, j := range f.jobs {
-			j.merge(p[i])
-		}
-		f.free = append(f.free, p)
-		f.next++
-	}
-}
+// recycle puts a merged partial on the free list; f.mu must be held.
+func (f *blockFolder) recycle(p []job) { f.free = append(f.free, p) }
 
 // parallelPass is the tiled parallel engine. A prefetching reader decodes
 // the corpus into canonical shards ahead of the accumulators; the
@@ -312,7 +319,7 @@ func parallelPass(src Source, jobs []job, workers int) error {
 	var held atomic.Bool
 	folders := make([]*blockFolder, 0, nBlocks)
 	for lo := 0; lo < len(jobs); lo += per {
-		f := &blockFolder{jobs: jobs[lo:min(lo+per, len(jobs))]}
+		f := &blockFolder{inOrder: inOrder{jobs: jobs[lo:min(lo+per, len(jobs))], pending: make(map[int][]job)}}
 		if holdInPlaceFolds {
 			f.held, f.parked = &held, sync.NewCond(&f.mu)
 		}

@@ -116,17 +116,6 @@ func RecoverKeyResumable(src Source, pub *falcon.PublicKey, cfg Config, store Ch
 	return finishRecovery(fFFT, values, pub, cfg)
 }
 
-// RecoverKeyDistributed is RecoverKeyResumable with every campaign pass
-// executed through dist (see Distributor): the coordinator keeps the
-// checkpoint sidecar and the recovery tail, workers carry the sweeps.
-// src must be the raw corpus as workers can open it themselves — the
-// derived masking and robust preprocessing are described over the wire.
-// The result is byte-identical to the single-machine attack: the fold
-// order is pinned by shard index, not by the fleet.
-func RecoverKeyDistributed(src Source, pub *falcon.PublicKey, cfg Config, store CheckpointStore, dist Distributor) (*falcon.PrivateKey, *RecoveryReport, error) {
-	return RecoverKeyResumable(WithDistributor(src, dist), pub, cfg, store)
-}
-
 // finishRecovery turns a recovered FFT(f) vector into a working signing
 // key: invert the FFT, derive g from the public key, error-correct
 // exponent ties if needed, re-solve the NTRU equation and verify the

@@ -51,9 +51,10 @@ func (r RobustConfig) Enabled() bool {
 func prepareRobust(src Source, rc RobustConfig, workers int) (Source, error) {
 	// A distributed attack derives the identical plan: the RMS pass runs
 	// coordinator-local (the coordinator owns the corpus anyway), the
-	// welford passes distribute as wire jobs against the masked view, and
-	// the finished plan is described to workers through the wire view so
-	// every later pass sees the same transformed bytes.
+	// welford passes distribute as wire jobs against the masked view and
+	// then the robust view, and the finished plan is described to workers
+	// through the wire view so every later pass sees the same transformed
+	// bytes.
 	ds, distributed := src.(*distSource)
 	if distributed {
 		src = ds.Source
@@ -93,7 +94,7 @@ func prepareRobust(src Source, rc RobustConfig, workers int) (Source, error) {
 	}
 
 	// Pass 2 (kept traces): per-sample mean template and variance.
-	mean, m2, n, err := sampleStats(sweepSrc, nil, false, workers)
+	mean, m2, n, err := sampleStats(sweepSrc, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -101,12 +102,13 @@ func prepareRobust(src Source, rc RobustConfig, workers int) (Source, error) {
 	if rc.Winsorize <= 0 {
 		return finish(rs, masks), nil
 	}
-	lo, hi := winsorBounds(mean, m2, n, rc.Winsorize)
 
 	// Pass 3: refine the bounds on resynced-and-clamped data, so the
-	// outliers being clamped do not inflate the σ that bounds them.
-	rs.lo, rs.hi = lo, hi
-	mean2, m22, n2, err := sampleStats(sweepSrc, rs, true, workers)
+	// outliers being clamped do not inflate the σ that bounds them. It
+	// reads the robust view under the first-round bands, so the view is
+	// the one place that applies the transform.
+	rs.lo, rs.hi = winsorBounds(mean, m2, n, rc.Winsorize)
+	mean2, m22, n2, err := sampleStats(finish(rs, masks), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -170,27 +172,13 @@ func medianOf(vals []float64) float64 {
 // the preprocessing statistics ride the same canonical sharded reduction
 // as the attack passes: clones fold their shard partials in shard order
 // (Chan's combination in RunningStats.Merge), making the derived plan a
-// deterministic, worker-count-independent function of the corpus. When
-// transform is non-nil each trace is seen through the robustSource's
-// resync/clamp pipeline (used by the refinement pass); apply is
-// read-only on the source's plan, so clones share it safely.
+// deterministic, worker-count-independent function of the corpus.
 type welfordJob struct {
-	transform *robustSource
-	clamp     bool
-	stats     []cpa.RunningStats // lazily sized to the trace length
-	scratch   []float64
+	stats []cpa.RunningStats // lazily sized to the trace length
 }
 
 func (j *welfordJob) observe(o emleak.Observation) {
 	s := o.Trace.Samples
-	if j.transform != nil {
-		if j.scratch == nil {
-			j.scratch = make([]float64, len(s))
-		}
-		copy(j.scratch, s)
-		j.transform.apply(j.scratch, j.clamp)
-		s = j.scratch
-	}
 	if j.stats == nil {
 		j.stats = make([]cpa.RunningStats, len(s))
 	}
@@ -199,9 +187,7 @@ func (j *welfordJob) observe(o emleak.Observation) {
 	}
 }
 
-func (j *welfordJob) clone() job {
-	return &welfordJob{transform: j.transform, clamp: j.clamp}
-}
+func (j *welfordJob) clone() job { return &welfordJob{} }
 
 // reset zeroes a folded clone's statistics for reuse.
 func (j *welfordJob) reset() { clear(j.stats) }
@@ -223,8 +209,8 @@ func (j *welfordJob) merge(o job) {
 }
 
 // sampleStats accumulates per-sample mean/m2 over one pass of src.
-func sampleStats(src Source, transform *robustSource, clamp bool, workers int) (mean, m2 []float64, n int, err error) {
-	j := &welfordJob{transform: transform, clamp: clamp}
+func sampleStats(src Source, workers int) (mean, m2 []float64, n int, err error) {
+	j := &welfordJob{}
 	if err := runPass(src, []job{j}, workers); err != nil {
 		return nil, nil, 0, err
 	}
@@ -286,7 +272,7 @@ func (s *robustSource) Count() int { return s.inner.Count() }
 func (s *robustSource) Trimmed() int { return s.trimmed }
 
 // apply runs the in-place transform pipeline on one trace's samples.
-func (s *robustSource) apply(samples []float64, clamp bool) {
+func (s *robustSource) apply(samples []float64) {
 	if s.cfg.ResyncShift > 0 && s.template != nil {
 		if lag := cpa.BestLag(samples, s.template, s.cfg.ResyncShift); lag != 0 {
 			shifted := make([]float64, len(samples))
@@ -294,7 +280,7 @@ func (s *robustSource) apply(samples []float64, clamp bool) {
 			copy(samples, shifted)
 		}
 	}
-	if clamp && s.lo != nil {
+	if s.lo != nil {
 		for j, v := range samples {
 			if v < s.lo[j] {
 				samples[j] = s.lo[j]
@@ -331,7 +317,7 @@ func (it *robustIterator) Next() (emleak.Observation, error) {
 	// Copy before transforming: slice-backed sources hand out views of
 	// their underlying storage.
 	samples := append([]float64(nil), o.Trace.Samples...)
-	it.src.apply(samples, true)
+	it.src.apply(samples)
 	o.Trace = emleak.Trace{Samples: samples}
 	return o, nil
 }

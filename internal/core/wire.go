@@ -169,10 +169,6 @@ type JobSpec struct {
 	C     []uint64 `json:"c,omitempty"`    // prune: pair c values
 	AbsRe uint64   `json:"absRe,omitempty"`
 	AbsIm uint64   `json:"absIm,omitempty"`
-	Clamp bool     `json:"clamp,omitempty"`
-	// Transform carries the welford job's input transform (the robust
-	// refinement pass sees traces through the first-round plan).
-	Transform *RobustPlanSpec `json:"transform,omitempty"`
 }
 
 // JobState is the wire form of one job's accumulators: CPA engines, a
@@ -183,8 +179,8 @@ type JobState struct {
 	Stats   []cpa.RunningStatsState `json:"stats,omitempty"`
 }
 
-// ShardPartial is one corpus shard's partial accumulation of a block of
-// jobs, in job order.
+// ShardPartial is one corpus shard's partial accumulation of every job of
+// its pass, in job order.
 type ShardPartial struct {
 	Shard  int        `json:"shard"`
 	States []JobState `json:"states"`
@@ -323,13 +319,7 @@ func (j *jointSignJob) fromState(st JobState) (job, error) {
 	return c, nil
 }
 
-func (j *welfordJob) spec() JobSpec {
-	s := JobSpec{Kind: "welford", Clamp: j.clamp}
-	if j.transform != nil {
-		s.Transform = j.transform.planSpec()
-	}
-	return s
-}
+func (j *welfordJob) spec() JobSpec { return JobSpec{Kind: "welford"} }
 
 func (j *welfordJob) state() JobState {
 	stats := make([]cpa.RunningStatsState, len(j.stats))
@@ -379,15 +369,7 @@ func jobFromSpec(s JobSpec) (job, error) {
 	case "jointsign":
 		return newJointSignJob(s.Coeff, fpr.FPR(s.AbsRe), fpr.FPR(s.AbsIm)), nil
 	case "welford":
-		j := &welfordJob{clamp: s.Clamp}
-		if s.Transform != nil {
-			rs, err := robustFromPlan(s.Transform)
-			if err != nil {
-				return nil, err
-			}
-			j.transform = rs
-		}
-		return j, nil
+		return &welfordJob{}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown job kind %q", s.Kind)
 	}
@@ -417,8 +399,8 @@ func ComputeShardPartials(raw Source, view SourceSpec, specs []JobSpec, shardLo,
 }
 
 // Distributor executes one campaign pass across the fleet: it must see
-// every (shard, job) cell of the pass deposited into p exactly once —
-// remotely, or via p.Compute locally — before returning nil.
+// every shard of the pass deposited into p exactly once — remotely, or via
+// p.Compute locally — before returning nil.
 type Distributor interface {
 	RunPass(p *DistPass) error
 }
@@ -450,20 +432,20 @@ func WithDistributor(raw Source, dist Distributor) Source {
 }
 
 // DistPass is one campaign pass prepared for distribution: the corpus
-// view, the job descriptions, and the in-order fold state. A distributor
-// calls Deposit for partials computed remotely and Compute for local
-// fallback; DistPass guarantees each (shard, job) cell folds exactly once
-// and in shard order, whatever the arrival order, duplication, or mix of
-// remote and local execution.
+// view, the job descriptions, and the in-order fold state. Every task of
+// the pass covers all of its jobs, so a shard's partial carries one state
+// per job and the pass folds with one shard cursor. A distributor calls
+// Deposit for partials computed remotely and Compute for local fallback;
+// DistPass guarantees each shard folds exactly once and in shard order,
+// whatever the arrival order, duplication, or mix of remote and local
+// execution.
 type DistPass struct {
 	view  SourceSpec
 	specs []JobSpec
 	local Source
 
-	mu      sync.Mutex
-	jobs    []job
-	next    []int         // per job: next shard index to fold
-	pending []map[int]job // per job: decoded partials awaiting their turn
+	mu sync.Mutex
+	inOrder
 	nShards int
 	dups    int
 }
@@ -480,9 +462,7 @@ func newDistPass(ds *distSource, jobs []job) *DistPass {
 		view:    view,
 		specs:   specs,
 		local:   ds.Source,
-		jobs:    jobs,
-		next:    make([]int, len(jobs)),
-		pending: make([]map[int]job, len(jobs)),
+		inOrder: inOrder{jobs: jobs, pending: make(map[int][]job)},
 		nShards: (ds.Source.Count() + shardObs - 1) / shardObs,
 	}
 }
@@ -496,35 +476,32 @@ func (p *DistPass) Jobs() []JobSpec { return p.specs }
 // NumShards returns how many corpus shards the pass covers.
 func (p *DistPass) NumShards() int { return p.nShards }
 
-// NumJobs returns how many jobs the pass carries.
-func (p *DistPass) NumJobs() int { return len(p.specs) }
-
-// Duplicates reports how many deposited cells were dropped as duplicates
-// (late lease re-issues, hedged attempts, replayed deliveries).
+// Duplicates reports how many deposited (shard, job) cells were dropped as
+// duplicates (late lease re-issues, hedged attempts, replayed deliveries).
 func (p *DistPass) Duplicates() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dups
 }
 
-// Deposit folds one shard's partial for the job block starting at jobLo.
-// Decoding validates every accumulator shape against the live job, so a
-// corrupted or mis-addressed partial is rejected whole — nothing folds.
-// Cells already folded or already pending are dropped as duplicates:
-// depositing is idempotent, which is what makes lease re-issue and
-// hedging safe.
-func (p *DistPass) Deposit(jobLo int, sp ShardPartial) error {
+// Deposit folds one shard's partial of every job of the pass. Decoding
+// validates the state count and every accumulator shape against the live
+// jobs, so a corrupted or mis-addressed partial is rejected whole —
+// nothing folds. A shard already folded or already pending is dropped as
+// a duplicate: depositing is idempotent, which is what makes lease
+// re-issue and hedging safe.
+func (p *DistPass) Deposit(sp ShardPartial) error {
 	if sp.Shard < 0 || sp.Shard >= p.nShards {
 		return fmt.Errorf("core: partial for shard %d of %d", sp.Shard, p.nShards)
 	}
-	if jobLo < 0 || jobLo+len(sp.States) > len(p.jobs) {
-		return fmt.Errorf("core: partial for jobs [%d,%d) of %d", jobLo, jobLo+len(sp.States), len(p.jobs))
+	if len(sp.States) != len(p.jobs) {
+		return fmt.Errorf("core: partial carries %d job states, pass has %d jobs", len(sp.States), len(p.jobs))
 	}
-	// Decode and validate the whole block before touching fold state, so a
-	// partial that is half-good never half-folds.
+	// Decode and validate the whole partial before touching fold state, so
+	// a partial that is half-good never half-folds.
 	decoded := make([]job, len(sp.States))
 	for i, st := range sp.States {
-		d, err := p.jobs[jobLo+i].fromState(st)
+		d, err := p.jobs[i].fromState(st)
 		if err != nil {
 			return err
 		}
@@ -532,42 +509,22 @@ func (p *DistPass) Deposit(jobLo int, sp ShardPartial) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, d := range decoded {
-		j := jobLo + i
-		if sp.Shard < p.next[j] {
-			p.dups++
-			continue
-		}
-		if p.pending[j] == nil {
-			p.pending[j] = make(map[int]job)
-		}
-		if _, dup := p.pending[j][sp.Shard]; dup {
-			p.dups++
-			continue
-		}
-		p.pending[j][sp.Shard] = d
-		for {
-			q, ok := p.pending[j][p.next[j]]
-			if !ok {
-				break
-			}
-			delete(p.pending[j], p.next[j])
-			p.jobs[j].merge(q)
-			p.next[j]++
-		}
+	if _, dup := p.pending[sp.Shard]; dup || sp.Shard < p.next {
+		p.dups += len(decoded)
+		return nil
 	}
+	p.pending[sp.Shard] = decoded
+	p.drain(nil)
 	return nil
 }
 
-// Compute runs a cell block locally, against the coordinator's own view —
-// the graceful-degradation path when the fleet cannot take the work. The
-// partials travel through the same encode path as remote ones, so local
-// and remote execution are indistinguishable downstream.
-func (p *DistPass) Compute(shardLo, shardHi, jobLo, jobHi int) ([]ShardPartial, error) {
-	if jobLo < 0 || jobHi > len(p.specs) || jobLo >= jobHi {
-		return nil, fmt.Errorf("core: compute of jobs [%d,%d) of %d", jobLo, jobHi, len(p.specs))
-	}
-	return computeLocalPartials(p.local, p.jobs[jobLo:jobHi], shardLo, shardHi)
+// Compute runs shards [shardLo, shardHi) of every job locally, against the
+// coordinator's own view — the graceful-degradation path when the fleet
+// cannot take the work. The partials travel through the same encode path
+// as remote ones, so local and remote execution are indistinguishable
+// downstream.
+func (p *DistPass) Compute(shardLo, shardHi int) ([]ShardPartial, error) {
+	return computeLocalPartials(p.local, p.jobs, shardLo, shardHi)
 }
 
 // computeLocalPartials accumulates shards [shardLo, shardHi) of src into
@@ -607,15 +564,13 @@ func computeLocalPartials(src Source, jobs []job, shardLo, shardHi int) ([]Shard
 	return out, nil
 }
 
-// incomplete returns an error naming the first unfolded cell, or nil when
-// every (shard, job) cell has folded — the pass's completion check.
+// incomplete returns an error naming how far the fold got, or nil when
+// every shard has folded — the pass's completion check.
 func (p *DistPass) incomplete() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for j, n := range p.next {
-		if n < p.nShards {
-			return fmt.Errorf("core: distributed pass incomplete: job %d folded %d of %d shards", j, n, p.nShards)
-		}
+	if p.next < p.nShards {
+		return fmt.Errorf("core: distributed pass incomplete: folded %d of %d shards", p.next, p.nShards)
 	}
 	return nil
 }

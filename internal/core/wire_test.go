@@ -64,7 +64,7 @@ func (d *fakeDistributor) RunPass(p *DistPass) error {
 		var parts []ShardPartial
 		var err error
 		if d.localEvery > 0 && i%d.localEvery == 0 {
-			parts, err = p.Compute(tk.lo, tk.hi, 0, p.NumJobs())
+			parts, err = p.Compute(tk.lo, tk.hi)
 			d.local++
 		} else {
 			remote, cerr := ComputeShardPartials(d.raw, view, specs, tk.lo, tk.hi)
@@ -80,11 +80,11 @@ func (d *fakeDistributor) RunPass(p *DistPass) error {
 			return err
 		}
 		for k := len(parts) - 1; k >= 0; k-- {
-			if err := p.Deposit(0, parts[k]); err != nil {
+			if err := p.Deposit(parts[k]); err != nil {
 				return err
 			}
 			if d.duplicate {
-				if err := p.Deposit(0, parts[k]); err != nil {
+				if err := p.Deposit(parts[k]); err != nil {
 					return err
 				}
 			}
@@ -296,7 +296,7 @@ func (d *corruptingDistributor) RunPass(p *DistPass) error {
 		}
 		d.pass++
 		for i, corrupt := range corruptedCopies(clean[0], p.NumShards()) {
-			if err := p.Deposit(0, corrupt); err == nil {
+			if err := p.Deposit(corrupt); err == nil {
 				return fmt.Errorf("pass %d: corrupted partial %d folded without error", d.pass, i)
 			}
 			d.rejected++
@@ -313,6 +313,14 @@ func corruptedCopies(sp ShardPartial, nShards int) []ShardPartial {
 	bad.Shard = nShards + 7
 	out = append(out, bad)
 	if len(sp.States) > 0 {
+		// One job state too few and one too many: the partial no longer
+		// covers exactly the pass's jobs.
+		bad = sp
+		bad.States = sp.States[:len(sp.States)-1]
+		out = append(out, bad)
+		bad = sp
+		bad.States = append(append([]JobState(nil), sp.States...), sp.States[0])
+		out = append(out, bad)
 		st := sp.States[0]
 		switch {
 		case len(st.Engines) > 0:

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
+
+	"falcondown/internal/atomicfile"
 )
 
 // MetricSnapshot is one metric's point-in-time value, JSON-serializable
@@ -189,21 +190,14 @@ func (r *Registry) NewFlightRecord(cmd string) FlightRecord {
 }
 
 // WriteFlightRecord atomically writes the registry snapshot as indented
-// JSON at path (tmp + rename, so readers never see a torn file).
+// JSON at path (temp file, fsync and rename, so readers never see a torn
+// file).
 func (r *Registry) WriteFlightRecord(cmd, path string) error {
 	data, err := json.MarshalIndent(r.NewFlightRecord(cmd), "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return atomicfile.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FlightRecordPath places the flight record next to a sibling artifact

@@ -63,8 +63,13 @@ func (s breakerState) String() string {
 	return StateClosed
 }
 
-// breaker is the closed/open/half-open state machine for one device.
-type breaker struct {
+// Breaker is the closed/open/half-open state machine for one failure
+// domain: a capture device in the pool, a worker node in the cluster
+// coordinator ("a straggler node is just a flaky device one level up").
+// Threshold consecutive failures open it, OpenFor later it admits Probes
+// trial attempts, and only a clean probe run closes it again. Time is
+// injected so callers on a virtual clock stay deterministic.
+type Breaker struct {
 	mu  sync.Mutex
 	cfg BreakerConfig
 
@@ -78,14 +83,16 @@ type breaker struct {
 	successes, failed, skips int
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
+// NewBreaker builds a closed breaker with the given configuration (zero
+// fields take the documented defaults).
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults()}
 }
 
-// allow reports whether an attempt may be routed to this device now,
+// Allow reports whether an attempt may be routed to this target now,
 // transitioning open→half-open once OpenFor has elapsed. A false return
 // is a skip (counted for the report).
-func (b *breaker) allow(now time.Time) bool {
+func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -111,8 +118,8 @@ func (b *breaker) allow(now time.Time) bool {
 	}
 }
 
-// record folds in the outcome of one attempt on this device.
-func (b *breaker) record(ok bool, now time.Time) {
+// Record folds in the outcome of one attempt on this target.
+func (b *Breaker) Record(ok bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ok {
@@ -165,8 +172,9 @@ type BreakerStatus struct {
 	Skips     int    // attempts rejected while the breaker was open
 }
 
-// snapshot returns the report view of the breaker.
-func (b *breaker) snapshot(device int) BreakerStatus {
+// Status returns the report view of the breaker, with the given identity
+// stamped into the Device field.
+func (b *Breaker) Status(device int) BreakerStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerStatus{

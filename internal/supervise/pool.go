@@ -125,7 +125,7 @@ type pool struct {
 	seed     uint64
 	opts     PoolOptions
 	clock    emleak.Clock
-	breakers []*breaker
+	breakers []*Breaker
 	sems     []chan struct{} // per-device capacity-1 access tokens
 
 	retried atomic.Int64
@@ -161,10 +161,10 @@ func AcquirePool(ctx context.Context, devices []Device, seed uint64, count int, 
 	if p.clock == nil {
 		p.clock = emleak.WallClock{}
 	}
-	p.breakers = make([]*breaker, len(devices))
+	p.breakers = make([]*Breaker, len(devices))
 	p.sems = make([]chan struct{}, len(devices))
 	for i := range devices {
-		p.breakers[i] = newBreaker(opts.Breaker)
+		p.breakers[i] = NewBreaker(opts.Breaker)
 		p.sems[i] = make(chan struct{}, 1)
 	}
 
@@ -182,7 +182,7 @@ func AcquirePool(ctx context.Context, devices []Device, seed uint64, count int, 
 	report.Hedged = int(p.hedged.Load())
 	report.Breakers = make([]BreakerStatus, len(devices))
 	for i, b := range p.breakers {
-		report.Breakers[i] = b.snapshot(i)
+		report.Breakers[i] = b.Status(i)
 	}
 	return report, err
 }
@@ -233,7 +233,7 @@ func (p *pool) measure(ctx context.Context, idx uint64) (emleak.Observation, err
 			return emleak.Observation{}, err
 		}
 		dev := (int(idx) + attempt) % d
-		if !p.breakers[dev].allow(p.clock.Now()) {
+		if !p.breakers[dev].Allow(p.clock.Now()) {
 			skipsInRow++
 			if skipsInRow >= d {
 				// A full ring of open breakers: wait out a backoff slot
@@ -404,7 +404,7 @@ func (p *pool) recordOutcome(r measureResult) {
 			return
 		}
 	}
-	p.breakers[r.dev].record(ok, p.clock.Now())
+	p.breakers[r.dev].Record(ok, p.clock.Now())
 }
 
 func isCancellation(err error) bool {
@@ -420,7 +420,7 @@ func (p *pool) nextAllowed(primary int) int {
 	now := p.clock.Now()
 	for off := 1; off < d; off++ {
 		dev := (primary + off) % d
-		if p.breakers[dev].allow(now) {
+		if p.breakers[dev].Allow(now) {
 			return dev
 		}
 	}

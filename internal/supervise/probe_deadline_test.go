@@ -16,22 +16,22 @@ import (
 // pool level.
 
 func TestBreakerProbeDeadlineTimeout(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 1, OpenFor: time.Minute, Probes: 1})
+	b := NewBreaker(BreakerConfig{Threshold: 1, OpenFor: time.Minute, Probes: 1})
 	t0 := time.Unix(0, 0)
-	b.record(false, t0) // opens
+	b.Record(false, t0) // opens
 
 	// OpenFor elapses: the half-open transition admits exactly one probe.
 	t1 := t0.Add(time.Minute)
-	if !b.allow(t1) {
+	if !b.Allow(t1) {
 		t.Fatal("half-open transition rejected the probe")
 	}
 
 	// While the probe hangs toward its deadline, no other attempt may leak
 	// through — a wedged probe must not reopen the floodgates.
-	if b.allow(t1.Add(10 * time.Second)) {
+	if b.Allow(t1.Add(10 * time.Second)) {
 		t.Fatal("attempt admitted while the only probe was still in flight")
 	}
-	if st := b.snapshot(0); st.State != StateHalfOpen {
+	if st := b.Status(0); st.State != StateHalfOpen {
 		t.Fatalf("state = %s, want half-open while the probe is in flight", st.State)
 	}
 
@@ -39,21 +39,21 @@ func TestBreakerProbeDeadlineTimeout(t *testing.T) {
 	// as a failure *at that time*: the breaker reopens with a fresh OpenFor
 	// anchored at the timeout, not at the probe's launch.
 	t2 := t1.Add(30 * time.Second)
-	b.record(false, t2)
-	if st := b.snapshot(0); st.State != StateOpen {
+	b.Record(false, t2)
+	if st := b.Status(0); st.State != StateOpen {
 		t.Fatalf("state = %s, want open after the probe timed out", st.State)
 	}
-	if b.allow(t2.Add(time.Minute - time.Second)) {
+	if b.Allow(t2.Add(time.Minute - time.Second)) {
 		t.Fatal("attempt admitted before the fresh OpenFor (anchored at the timeout) elapsed")
 	}
-	if !b.allow(t2.Add(time.Minute)) {
+	if !b.Allow(t2.Add(time.Minute)) {
 		t.Fatal("breaker never re-admitted probes after the timed-out probe's fresh OpenFor")
 	}
 }
 
 func TestExportedBreakerMirrorsInternal(t *testing.T) {
-	// The exported wrapper (used by the cluster coordinator for worker
-	// nodes) must behave exactly like the pool's internal breakers.
+	// The breaker the cluster coordinator runs per worker node, driven
+	// through the same exported methods the pool calls.
 	b := NewBreaker(BreakerConfig{Threshold: 2, OpenFor: time.Minute, Probes: 1})
 	t0 := time.Unix(0, 0)
 	if !b.Allow(t0) {
